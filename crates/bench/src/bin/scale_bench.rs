@@ -226,7 +226,7 @@ fn main() {
         options.dim, options.spill_threshold, options.threads
     );
 
-    // The query-side encoder (item memories ~ num_bins × dim bytes) is a
+    // The query-side encoder (ID bitplanes ~ num_bins × dim × 3 bits) is a
     // fixed cost every build path pays regardless of library size.
     // Measure its live footprint once so the smoke bound covers only the
     // marginal, library-dependent heap.

@@ -94,7 +94,7 @@ impl InMemoryEncoder {
         let mut dev_sq = 0.0f64;
         for bin in 0..num_bins {
             let id = software.id_memory().id(bin);
-            for &component in id {
+            for component in id {
                 // Monotone map: alphabet rank → differential grid point.
                 let rank = alphabet
                     .iter()

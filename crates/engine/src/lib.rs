@@ -307,7 +307,7 @@ impl EngineMetrics {
             ),
             stage_encode_ms: registry.histogram(
                 "hdoms_stage_encode_ms",
-                "Per-batch wall-clock of the encode stage (preprocess + hypervector encoding)",
+                "Per-batch wall-clock of the encode stage (preprocessing only; query HD encoding is timed under score)",
             ),
             stage_candidates_ms: registry.histogram(
                 "hdoms_stage_candidates_ms",
@@ -315,7 +315,7 @@ impl EngineMetrics {
             ),
             stage_score_ms: registry.histogram(
                 "hdoms_stage_score_ms",
-                "Per-batch wall-clock of the shard-scoring stage (associative search)",
+                "Per-batch wall-clock of the shard-scoring stage (query HD encoding + associative search)",
             ),
             stage_finalize_ms: registry.histogram(
                 "hdoms_stage_finalize_ms",

@@ -8,19 +8,32 @@
 //! ```
 //!
 //! where `ID_i` is the position hypervector of the peak's m/z bin and
-//! `LV_i` the level hypervector of its quantised intensity. The encoder
-//! exposes the raw accumulator alongside the signed result because the
-//! RRAM backend needs to inject analog error *before* the sign
-//! quantisation (§4.2.3).
+//! `LV_i` the level hypervector of its quantised intensity.
+//!
+//! Two routes compute it, with bit-identical results:
+//!
+//! * [`IdLevelEncoder::encode`] runs the bit-plane kernel
+//!   ([`KernelDispatch::id_level_encode`]) selected by `HDOMS_KERNEL`:
+//!   product signs by XOR of the packed ID sign plane and level words,
+//!   magnitudes summed from the ID magnitude planes in `i8` blocks
+//!   flushed into `i16`, `Sign` a word at a time. A spectrum whose
+//!   worst-case sum `peaks × max_abs(ID)` exceeds the `i16` bound
+//!   ([`ENCODE_SUM_BOUND`]) takes the reference route instead.
+//! * [`IdLevelEncoder::accumulate`] + [`IdLevelEncoder::quantize_accumulator`]
+//!   is the scalar reference, and the raw `i32` accumulator it exposes
+//!   is the RRAM backend's hook for injecting analog error *before* the
+//!   sign quantisation (§4.2.3).
 
 use crate::hv::BinaryHypervector;
 use crate::item_memory::{IdMemory, LevelMemory, LevelStyle};
+use crate::kernels::{self, EncodeTerm, KernelDispatch, ENCODE_SUM_BOUND};
 use crate::multibit::IdPrecision;
 use crate::parallel::par_map;
 use hdoms_ms::preprocess::{BinnedSpectrum, PreprocessConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Encoder parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,15 +71,12 @@ impl Default for EncoderConfig {
 }
 
 /// ID-Level encoder: owns the item memories and turns binned spectra into
-/// binary hypervectors.
+/// binary hypervectors. Clones share the bit-plane ID memory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IdLevelEncoder {
     config: EncoderConfig,
-    id_memory: IdMemory,
+    id_memory: Arc<IdMemory>,
     level_memory: LevelMemory,
-    /// Bipolar (±1 as i8) expansion of each level hypervector, precomputed
-    /// so the accumulation loop is a branch-free multiply-add.
-    level_bipolar: Vec<Vec<i8>>,
     /// Resolves `Sign(0)` deterministically: a random but fixed ±1 per
     /// dimension.
     tie_break: BinaryHypervector,
@@ -81,28 +91,24 @@ impl IdLevelEncoder {
     /// Panics on degenerate configurations (zero dim, fewer than two
     /// levels, chunk constraints) — see [`LevelMemory::generate`].
     pub fn new(config: EncoderConfig) -> IdLevelEncoder {
-        let id_memory = IdMemory::generate(
+        let id_memory = Arc::new(IdMemory::generate(
             config.seed ^ 0x1d,
             config.num_bins,
             config.dim,
             config.id_precision,
-        );
+        ));
         let level_memory = LevelMemory::generate(
             config.seed ^ 0x7e,
             config.dim,
             config.q_levels,
             config.level_style,
         );
-        let level_bipolar = (0..config.q_levels)
-            .map(|q| level_memory.level(q).to_bipolar())
-            .collect();
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x71e);
         let tie_break = BinaryHypervector::random(&mut rng, config.dim);
         IdLevelEncoder {
             config,
             id_memory,
             level_memory,
-            level_bipolar,
             tie_break,
         }
     }
@@ -122,7 +128,8 @@ impl IdLevelEncoder {
         &self.level_memory
     }
 
-    /// The raw encoding accumulator `Σ ID_i ⊗ LV_i` (before `Sign`).
+    /// The raw encoding accumulator `Σ ID_i ⊗ LV_i` (before `Sign`): the
+    /// scalar reference every fast encode is checked against.
     ///
     /// The in-memory encoding path perturbs this accumulator with the
     /// analog error model before quantising, so it is public API
@@ -133,20 +140,14 @@ impl IdLevelEncoder {
     /// Panics if a peak's bin index is outside `0..num_bins` — that means
     /// the preprocessor and encoder configurations disagree.
     pub fn accumulate(&self, spectrum: &BinnedSpectrum) -> Vec<i32> {
-        let dim = self.config.dim;
-        let mut acc = vec![0i32; dim];
+        let mut acc = vec![0i32; self.config.dim];
         for peak in spectrum.peaks() {
-            let bin = peak.bin as usize;
-            assert!(
-                bin < self.config.num_bins,
-                "bin {bin} outside ID memory ({} bins) — preprocessor/encoder mismatch",
-                self.config.num_bins
-            );
-            let level = self.level_memory.quantize(peak.intensity);
-            let id = self.id_memory.id(bin);
-            let lv = &self.level_bipolar[level];
-            for d in 0..dim {
-                acc[d] += i32::from(id[d]) * i32::from(lv[d]);
+            let id = self.id_memory.id(self.checked_bin(peak.bin));
+            let lv = self
+                .level_memory
+                .level(self.level_memory.quantize(peak.intensity));
+            for (d, (a, &c)) in acc.iter_mut().zip(&id).enumerate() {
+                *a += i32::from(c) * i32::from(lv.component(d));
             }
         }
         acc
@@ -161,21 +162,72 @@ impl IdLevelEncoder {
     pub fn quantize_accumulator(&self, acc: &[i32]) -> BinaryHypervector {
         assert_eq!(acc.len(), self.config.dim, "accumulator length mismatch");
         let mut hv = BinaryHypervector::zeros(self.config.dim);
-        for (d, &v) in acc.iter().enumerate() {
-            let bit = match v.cmp(&0) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Less => false,
-                std::cmp::Ordering::Equal => self.tie_break.bit(d),
-            };
-            hv.set(d, bit);
+        let ties = self.tie_break.words();
+        for ((word, sums), &tie) in hv.words_mut().iter_mut().zip(acc.chunks(64)).zip(ties) {
+            *word = kernels::sign_word(sums, tie);
         }
         hv
     }
 
-    /// Encode one spectrum: [`IdLevelEncoder::accumulate`] then
-    /// [`IdLevelEncoder::quantize_accumulator`].
+    /// Encode one spectrum with the process-wide kernel
+    /// ([`kernels::active`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a peak's bin index is outside `0..num_bins`.
     pub fn encode(&self, spectrum: &BinnedSpectrum) -> BinaryHypervector {
-        self.quantize_accumulator(&self.accumulate(spectrum))
+        self.encode_with(kernels::active(), spectrum)
+    }
+
+    /// Encode one spectrum with an explicit kernel: the bit-plane kernel
+    /// when `peaks × max_abs(ID)` fits [`ENCODE_SUM_BOUND`], otherwise
+    /// [`IdLevelEncoder::accumulate`] then
+    /// [`IdLevelEncoder::quantize_accumulator`]. Every route yields the
+    /// same hypervector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a peak's bin index is outside `0..num_bins`.
+    pub fn encode_with(
+        &self,
+        kernel: KernelDispatch,
+        spectrum: &BinnedSpectrum,
+    ) -> BinaryHypervector {
+        let peaks = spectrum.peaks();
+        let precision = self.config.id_precision;
+        if peaks.len() * usize::from(precision.max_abs().unsigned_abs()) > ENCODE_SUM_BOUND {
+            return self.quantize_accumulator(&self.accumulate(spectrum));
+        }
+        let terms: Vec<EncodeTerm<'_>> = peaks
+            .iter()
+            .map(|peak| {
+                let level = self.level_memory.quantize(peak.intensity);
+                (
+                    self.id_memory.planes(self.checked_bin(peak.bin)),
+                    self.level_memory.level(level).words(),
+                )
+            })
+            .collect();
+        let mut hv = BinaryHypervector::zeros(self.config.dim);
+        kernel.id_level_encode(
+            self.config.dim,
+            usize::from(precision.bits()) - 1,
+            &terms,
+            self.tie_break.words(),
+            hv.words_mut(),
+        );
+        hv
+    }
+
+    /// A peak's bin as an ID memory row, checked against `num_bins`.
+    fn checked_bin(&self, bin: u32) -> usize {
+        let bin = bin as usize;
+        assert!(
+            bin < self.config.num_bins,
+            "bin {bin} outside ID memory ({} bins) — preprocessor/encoder mismatch",
+            self.config.num_bins
+        );
+        bin
     }
 
     /// Encode a batch on `threads` threads, preserving order.
@@ -270,7 +322,7 @@ mod tests {
         let enc = IdLevelEncoder::new(small_config());
         let b = pre.run(&w.queries[0]).unwrap();
         let acc = enc.accumulate(&b);
-        let bound = (b.peaks().len() as i32) * 4;
+        let bound = b.peaks().len() as i32 * i32::from(small_config().id_precision.max_abs());
         assert!(acc.iter().all(|&v| v.abs() <= bound));
         // And the accumulator is not trivially zero.
         assert!(acc.iter().any(|&v| v != 0));

@@ -2,7 +2,11 @@
 //!
 //! * The **ID memory** maps each m/z bin position to a quasi-orthogonal
 //!   *position hypervector* (`ID_i`). Following §4.2.2 these may carry
-//!   multi-bit components.
+//!   multi-bit components, and they are stored the way MLC hardware holds
+//!   them: `bits` bits per dimension, as one packed sign plane plus
+//!   `bits − 1` magnitude planes per row (3/8 of a byte-per-component
+//!   table for 3-bit IDs). The encoder's kernel reads the planes directly;
+//!   [`IdMemory::id`] decodes a row for the RRAM programming path.
 //! * The **level memory** maps each of `Q` quantised intensity levels to a
 //!   binary *level hypervector* (`l_j`). `l_0` is random and each
 //!   subsequent level flips `D/(2Q)` previously-unflipped bits of its
@@ -37,20 +41,27 @@ pub enum LevelStyle {
     },
 }
 
-/// The position-ID item memory: one multi-bit hypervector per m/z bin.
+/// The position-ID item memory: one multi-bit hypervector per m/z bin,
+/// stored as packed sign/magnitude bitplanes.
 ///
-/// Stored flattened (`num_positions × dim` components) for cache-friendly
-/// sequential encoding.
+/// Each row holds [`IdPrecision::bits`] planes of `ceil(dim / 64)` words:
+/// plane 0 is the sign (bit set ↔ positive component) and planes
+/// `1..bits` are the bits of `|ID| − 1`, least significant first — so a
+/// 3-bit component is `±(1 + m0 + 2·m1)` and a row costs `bits` bits per
+/// dimension instead of a byte (§4.2.2: a 3-bit ID is stored as 3 bits).
+/// Padding bits beyond `dim` are zero in every plane.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IdMemory {
     num_positions: usize,
     dim: usize,
     precision: IdPrecision,
-    data: Vec<i8>,
+    planes: Vec<u64>,
 }
 
 impl IdMemory {
-    /// Generate deterministically from `seed`.
+    /// Generate deterministically from `seed`. Components are drawn in
+    /// row-major order from one RNG stream, so the alphabet values are
+    /// the same whatever the storage layout.
     ///
     /// # Panics
     ///
@@ -64,30 +75,75 @@ impl IdMemory {
         assert!(num_positions > 0, "need at least one position");
         assert!(dim > 0, "hypervector dimension must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let data = (0..num_positions * dim)
-            .map(|_| precision.sample(&mut rng))
-            .collect();
+        let words = BinaryHypervector::word_count(dim);
+        let bits = usize::from(precision.bits());
+        let mut planes = vec![0u64; num_positions * bits * words];
+        for row in planes.chunks_exact_mut(bits * words) {
+            for w in 0..words {
+                // One word of every plane, built in registers: plane 0
+                // the sign, plane p bit p − 1 of |component| − 1.
+                let mut word = [0u64; 3];
+                for j in 0..(dim - 64 * w).min(64) {
+                    let component = precision.sample(&mut rng);
+                    let magnitude = u64::from(component.unsigned_abs() - 1);
+                    word[0] |= u64::from(component > 0) << j;
+                    word[1] |= (magnitude & 1) << j;
+                    word[2] |= (magnitude >> 1) << j;
+                }
+                for (plane, &bits_of_plane) in word[..bits].iter().enumerate() {
+                    row[plane * words + w] = bits_of_plane;
+                }
+            }
+        }
         IdMemory {
             num_positions,
             dim,
             precision,
-            data,
+            planes,
         }
     }
 
-    /// The ID hypervector components for `position`.
+    /// The planes of `position`'s row: the sign plane, then the
+    /// magnitude planes, `ceil(dim / 64)` words each.
     ///
     /// # Panics
     ///
     /// Panics if `position >= num_positions`.
     #[inline]
-    pub fn id(&self, position: usize) -> &[i8] {
+    pub fn planes(&self, position: usize) -> &[u64] {
         assert!(
             position < self.num_positions,
             "position {position} out of bounds ({} positions)",
             self.num_positions
         );
-        &self.data[position * self.dim..(position + 1) * self.dim]
+        let row = usize::from(self.precision.bits()) * BinaryHypervector::word_count(self.dim);
+        &self.planes[position * row..(position + 1) * row]
+    }
+
+    /// The ID hypervector components of `position`, decoded from its
+    /// planes (the form the RRAM programming path maps onto cells).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= num_positions`.
+    pub fn id(&self, position: usize) -> Vec<i8> {
+        let planes = self.planes(position);
+        let words = BinaryHypervector::word_count(self.dim);
+        let bits = usize::from(self.precision.bits());
+        (0..self.dim)
+            .map(|d| {
+                let bit = |plane: usize| ((planes[plane * words + d / 64] >> (d % 64)) & 1) as i8;
+                let mut magnitude = 1;
+                for plane in 1..bits {
+                    magnitude += bit(plane) << (plane - 1);
+                }
+                if bit(0) == 1 {
+                    magnitude
+                } else {
+                    -magnitude
+                }
+            })
+            .collect()
     }
 
     /// Number of positions (m/z bins).
@@ -275,9 +331,27 @@ mod tests {
         for p in IdPrecision::ALL {
             let m = IdMemory::generate(1, 10, 128, p);
             for pos in 0..10 {
-                for &c in m.id(pos) {
+                for c in m.id(pos) {
                     assert!(c != 0 && c.abs() <= p.max_abs());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn planes_decode_to_the_sampled_stream() {
+        // The planes hold exactly the components one RNG stream yields in
+        // row-major order, for every precision and a ragged tail word.
+        for p in IdPrecision::ALL {
+            let (positions, dim) = (5, 100);
+            let m = IdMemory::generate(7, positions, dim, p);
+            let mut rng = StdRng::seed_from_u64(7);
+            for pos in 0..positions {
+                let expected: Vec<i8> = (0..dim).map(|_| p.sample(&mut rng)).collect();
+                assert_eq!(m.id(pos), expected, "{p:?} row {pos}");
+                let planes = m.planes(pos);
+                assert_eq!(planes.len(), usize::from(p.bits()) * 2);
+                assert!(planes.iter().skip(1).step_by(2).all(|w| w >> 36 == 0));
             }
         }
     }

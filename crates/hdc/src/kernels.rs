@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD distance kernels.
+//! Runtime-dispatched SIMD kernels: the distance primitives and the
+//! ID-Level encode.
 //!
 //! Every similarity the system computes — Hamming distance, bipolar dot
 //! product, the masked `matching_bits` partial MACs of the RRAM model —
@@ -19,6 +20,22 @@
 //! before being evicted — the CPU analogue of HyperOMS's massively
 //! parallel GPU formulation, and what the flat scan cannot do one pair
 //! at a time.
+//!
+//! The layer also owns the **ID-Level encode** of Eq. (1),
+//! [`KernelDispatch::id_level_encode`], over the bit-plane ID memory
+//! ([`crate::item_memory::IdMemory`]). Level hypervectors are ±1, so a
+//! dimension's product sign is `!(sign_word ^ level_word)` and only the
+//! magnitude planes need adding. Per-dimension sums are kept as `i8`
+//! over blocks of at most `i8::MAX / max_abs(ID)` peaks (31 for 3-bit
+//! IDs: 31 × 4 = 124), flushed into `i16`, and `Sign` plus the tie-break
+//! are applied a word at a time. Two implementations: **AVX-512BW**
+//! (`_mm512_mask_add_epi8` / `_mm512_mask_sub_epi8` driven straight by
+//! the mask words, chosen by the SIMD dispatch wherever the CPU has
+//! `avx512bw`) and a **portable** path (a byte → lanes table decode plus
+//! autovectorised `i8` adds, run by the scalar dispatch and on every
+//! other CPU). The `i16` sums bound a call to
+//! `peaks × max_abs(ID) ≤` [`ENCODE_SUM_BOUND`]; the encoder falls back
+//! to its scalar reference above it.
 //!
 //! # Selection
 //!
@@ -41,7 +58,9 @@
 //! validation still scores correctly. The property suite
 //! (`crates/hdc/tests/kernel_equivalence.rs`) asserts scalar ≡ SIMD ≡
 //! blocked over arbitrary dims, patterns, and ragged block shapes, and
-//! that poisoned padding bits never reach a distance.
+//! that poisoned padding bits never reach a distance;
+//! `crates/hdc/tests/encoder_equivalence.rs` asserts the scalar
+//! reference encode ≡ portable ≡ AVX-512BW encode.
 
 use crate::hv::{BinaryHypervector, HvView};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -56,6 +75,22 @@ pub const REFERENCE_TILE: usize = 32;
 /// grouping queries for [`KernelDispatch::score_block`] use this as the
 /// natural block size.
 pub const QUERY_TILE: usize = 8;
+
+/// Largest `peaks × max_abs(ID)` one [`KernelDispatch::id_level_encode`]
+/// call accepts: every per-dimension sum must fit its `i16` accumulator.
+pub const ENCODE_SUM_BOUND: usize = i16::MAX as usize;
+
+/// One peak's operands for [`KernelDispatch::id_level_encode`]: the
+/// planes of its ID row (sign plane then magnitude planes, as
+/// [`crate::item_memory::IdMemory::planes`] returns them) and the packed
+/// words of its level hypervector.
+pub type EncodeTerm<'a> = (&'a [u64], &'a [u64]);
+
+/// Peaks summed in `i8` before a flush into the `i16` sums: the most
+/// whose worst case, `max_abs(ID) = 2^magnitude_planes` each, fits `i8`.
+const fn encode_block(magnitude_planes: usize) -> usize {
+    i8::MAX as usize >> magnitude_planes
+}
 
 /// A kernel *request*: what the caller asked for, before resolving
 /// against what the CPU supports (parsed from `HDOMS_KERNEL` or passed
@@ -331,6 +366,137 @@ impl KernelDispatch {
             }
         }
     }
+
+    /// The ID-Level encode of Eq. (1) over bit-plane ID rows: writes
+    /// `Sign(Σ ID_i ⊗ LV_i)` into `out` as packed words, with `0` sums
+    /// taking the bit of `tie_break`. `magnitude_planes` is
+    /// `bits(ID) − 1` (0–2), so `max_abs(ID) = 2^magnitude_planes`.
+    /// Padding bits beyond `dim` come out zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `magnitude_planes > 2`, if `terms.len() ×
+    /// max_abs(ID)` exceeds [`ENCODE_SUM_BOUND`], or if any slice's
+    /// length disagrees with `ceil(dim / 64)` words per plane.
+    pub fn id_level_encode(
+        &self,
+        dim: usize,
+        magnitude_planes: usize,
+        terms: &[EncodeTerm<'_>],
+        tie_break: &[u64],
+        out: &mut [u64],
+    ) {
+        let words = BinaryHypervector::word_count(dim);
+        assert!(
+            magnitude_planes <= 2,
+            "at most 2 magnitude planes (3-bit IDs)"
+        );
+        assert!(
+            terms.len() << magnitude_planes <= ENCODE_SUM_BOUND,
+            "{} peaks × max |ID| {} overflow the i16 sums",
+            terms.len(),
+            1 << magnitude_planes
+        );
+        assert_eq!(tie_break.len(), words, "tie-break word count");
+        assert_eq!(out.len(), words, "output word count");
+        for (planes, level) in terms {
+            assert_eq!(
+                planes.len(),
+                (1 + magnitude_planes) * words,
+                "ID row planes"
+            );
+            assert_eq!(level.len(), words, "level word count");
+        }
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = self.is_simd() && std::arch::is_x86_feature_detected!("avx512bw");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        match (avx512, magnitude_planes) {
+            // SAFETY: `avx512bw` was detected just above, and the
+            // assertions above fix every operand's shape.
+            #[cfg(target_arch = "x86_64")]
+            (true, _) => unsafe {
+                x86::id_level_encode_avx512(magnitude_planes, terms, tie_break, out)
+            },
+            (_, 0) => id_level_encode_portable::<0>(terms, tie_break, out),
+            (_, 1) => id_level_encode_portable::<1>(terms, tie_break, out),
+            _ => id_level_encode_portable::<2>(terms, tie_break, out),
+        }
+        if !dim.is_multiple_of(64) {
+            out[words - 1] &= (1u64 << (dim % 64)) - 1;
+        }
+    }
+}
+
+/// `Sign` of up to 64 per-dimension sums as one packed word: positive
+/// sums set their bit, zero sums take the bit of `tie`.
+#[inline]
+pub(crate) fn sign_word<T: Copy + Into<i32>>(sums: &[T], tie: u64) -> u64 {
+    let (mut positive, mut zero) = (0u64, 0u64);
+    for (j, &v) in sums.iter().enumerate() {
+        positive |= u64::from(v.into() > 0) << j;
+        zero |= u64::from(v.into() == 0) << j;
+    }
+    positive | (zero & tie)
+}
+
+/// `SPREAD[b]` holds bit `j` of `b` in byte lane `j` (0 or 1): the
+/// byte → lanes decode of the portable encode.
+static SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[b] |= ((b as u64 >> j) & 1) << (8 * j);
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// The portable ID-Level encode: each 8-dimension byte of the plane
+/// words is decoded through [`SPREAD`] into eight signed `i8` lanes,
+/// which are added with plain (autovectorised) byte adds.
+fn id_level_encode_portable<const MP: usize>(
+    terms: &[EncodeTerm<'_>],
+    tie_break: &[u64],
+    out: &mut [u64],
+) {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let words = out.len();
+    let mut sums = vec![0i16; words * 64];
+    let mut block_sums = vec![0i8; words * 64];
+    for block in terms.chunks(encode_block(MP)) {
+        block_sums.fill(0);
+        for &(planes, level) in block {
+            for (w, acc) in block_sums.chunks_exact_mut(64).enumerate() {
+                let negative = planes[w] ^ level[w];
+                let mut lanes = [0u8; 64];
+                for (k, lane) in lanes.chunks_exact_mut(8).enumerate() {
+                    let byte = |word: u64| SPREAD[usize::from((word >> (8 * k)) as u8)];
+                    let mut magnitude = ONES;
+                    for p in 0..MP {
+                        magnitude += byte(planes[(p + 1) * words + w]) << p;
+                    }
+                    // Negate the negative lanes as (m ^ 0xff) + 1: with
+                    // 1 ≤ m ≤ 4 no lane carries into its neighbour.
+                    let neg = byte(negative);
+                    lane.copy_from_slice(&((magnitude ^ (neg * 0xff)) + neg).to_le_bytes());
+                }
+                for (a, &v) in acc.iter_mut().zip(&lanes) {
+                    *a += v as i8;
+                }
+            }
+        }
+        for (sum, &partial) in sums.iter_mut().zip(&block_sums) {
+            *sum += i16::from(partial);
+        }
+    }
+    for ((word, sums), &tie) in out.iter_mut().zip(sums.chunks_exact(64)).zip(tie_break) {
+        *word = sign_word(sums, tie);
+    }
 }
 
 /// Tail-masked Hamming distance over a resolved pair primitive: full
@@ -384,6 +550,11 @@ mod x86 {
     //! The functions take plain `&[u64]` slices, perform unaligned
     //! loads, and hand the (word count % vector width) remainder to the
     //! scalar path, so any slice the safe API accepts is sound here.
+    //!
+    //! The encode kernel is the exception: it reads plane words by
+    //! pointer, so its entry is an `unsafe fn` whose contract (the ISA
+    //! and the operand shapes) `KernelDispatch::id_level_encode` checks
+    //! before calling it.
 
     use std::arch::x86_64::*;
 
@@ -463,6 +634,85 @@ mod x86 {
             total += u64::from((x ^ y).count_ones());
         }
         total
+    }
+
+    /// The AVX-512BW encode for `magnitude_planes` (0–2) planes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx512bw`, and the operands must have the
+    /// shapes `KernelDispatch::id_level_encode` asserts: every term's
+    /// planes `(1 + magnitude_planes) × out.len()` words, every level
+    /// and `tie_break` `out.len()` words.
+    pub(super) unsafe fn id_level_encode_avx512(
+        magnitude_planes: usize,
+        terms: &[super::EncodeTerm<'_>],
+        tie_break: &[u64],
+        out: &mut [u64],
+    ) {
+        // SAFETY: the caller upholds this function's contract, which is
+        // the contract of the monomorphised kernels.
+        unsafe {
+            match magnitude_planes {
+                0 => encode_avx512::<0>(terms, tie_break, out),
+                1 => encode_avx512::<1>(terms, tie_break, out),
+                _ => encode_avx512::<2>(terms, tie_break, out),
+            }
+        }
+    }
+
+    /// One 64-lane `i8` vector per plane word, the product-sign and
+    /// magnitude words used directly as lane masks.
+    ///
+    /// # Safety
+    ///
+    /// As [`id_level_encode_avx512`] with `magnitude_planes = MP`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn encode_avx512<const MP: usize>(
+        terms: &[super::EncodeTerm<'_>],
+        tie_break: &[u64],
+        out: &mut [u64],
+    ) {
+        let words = out.len();
+        let mut sums = vec![0i16; words * 64];
+        let mut block_sums = vec![0i8; words * 64];
+        let (sp, bp) = (sums.as_mut_ptr(), block_sums.as_mut_ptr());
+        let one = _mm512_set1_epi8(1);
+        for block in terms.chunks(super::encode_block(MP)) {
+            block_sums.fill(0);
+            for &(planes, level) in block {
+                let (pp, lp) = (planes.as_ptr(), level.as_ptr());
+                for w in 0..words {
+                    let positive = !(*pp.add(w) ^ *lp.add(w));
+                    let mut magnitude = one;
+                    for p in 0..MP {
+                        let bits = *pp.add((p + 1) * words + w);
+                        let weight = _mm512_set1_epi8(1 << p);
+                        magnitude = _mm512_mask_add_epi8(magnitude, bits, magnitude, weight);
+                    }
+                    let at = bp.add(64 * w).cast();
+                    let acc = _mm512_loadu_si512(at);
+                    let acc = _mm512_mask_add_epi8(acc, positive, acc, magnitude);
+                    let acc = _mm512_mask_sub_epi8(acc, !positive, acc, magnitude);
+                    _mm512_storeu_si512(at, acc);
+                }
+            }
+            for i in (0..words * 64).step_by(32) {
+                let wide = _mm512_cvtepi8_epi16(_mm256_loadu_si256(bp.add(i).cast()));
+                let at = sp.add(i).cast();
+                _mm512_storeu_si512(at, _mm512_add_epi16(_mm512_loadu_si512(at), wide));
+            }
+        }
+        let zero = _mm512_setzero_si512();
+        for (w, word) in out.iter_mut().enumerate() {
+            let lo = _mm512_loadu_si512(sp.add(64 * w).cast());
+            let hi = _mm512_loadu_si512(sp.add(64 * w + 32).cast());
+            let positive = u64::from(_mm512_cmpgt_epi16_mask(lo, zero))
+                | u64::from(_mm512_cmpgt_epi16_mask(hi, zero)) << 32;
+            let tied = u64::from(_mm512_cmpeq_epi16_mask(lo, zero))
+                | u64::from(_mm512_cmpeq_epi16_mask(hi, zero)) << 32;
+            *word = positive | (tied & tie_break[w]);
+        }
     }
 
     /// XOR + the hardware 64-bit popcount (`vpopcntdq`), 8 words per

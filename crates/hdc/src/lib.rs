@@ -11,12 +11,15 @@
 //!   ([`hv`], [`similarity`]),
 //! * multi-bit hypervectors with the 1/2/3-bit ID alphabets of §4.2.2
 //!   ([`multibit`]),
-//! * the ID and level item memories of ID-Level encoding, including the
-//!   *chunked* level hypervectors of §4.2.1 ([`item_memory`]),
+//! * the ID and level item memories of ID-Level encoding — the ID
+//!   memory as packed sign/magnitude bitplanes, the level memory
+//!   including the *chunked* level hypervectors of §4.2.1
+//!   ([`item_memory`]),
 //! * the ID-Level encoder itself, Eq. (1) of the paper ([`encoder`]),
-//! * runtime-dispatched SIMD distance kernels (AVX2 / AVX-512
-//!   `vpopcntdq` with a portable fallback) plus the query-blocked batch
-//!   kernel every scan tiles through ([`kernels`]),
+//! * runtime-dispatched SIMD kernels (AVX2 / AVX-512 with a portable
+//!   fallback): the distance primitives, the query-blocked batch kernel
+//!   every scan tiles through, and the bit-plane ID-Level encode
+//!   ([`kernels`]),
 //! * exact top-k Hamming search with thread-parallel batching ([`search`]),
 //! * bit-error injection for robustness studies ([`corrupt`]), and
 //! * a tiny scoped-thread parallel-map helper shared by the search stacks

@@ -76,7 +76,7 @@ fn warm_backends_share_not_clone_the_reference_table() {
     let _serial = ALLOCATOR_WINDOWS.lock().unwrap();
     // Large enough that the hypervector payload (~2.5 MB at dim 2048 ×
     // 10k entries) dwarfs every fixed cost of backend construction (the
-    // encoder item memories are ~0.4 MB).
+    // encoder's ID bitplanes are ~1.1 MB).
     let workload = SyntheticWorkload::generate(&WorkloadSpec::iprg2012(0.01), 99);
     let mut exact = ExactBackendConfig::default();
     exact.encoder.dim = 2048;

@@ -94,7 +94,23 @@ pub struct BinnedSpectrum {
 }
 
 impl BinnedSpectrum {
-    /// The sparse (bin, intensity) pairs, sorted by ascending bin index.
+    /// A query spectrum made directly from (bin, intensity) pairs, with
+    /// zeroed precursor metadata: synthetic encoder input. Unlike
+    /// [`Preprocessor::run`] output, the peaks may be empty, unsorted, or
+    /// repeat a bin.
+    pub fn from_peaks(id: u32, peaks: Vec<BinnedPeak>) -> BinnedSpectrum {
+        BinnedSpectrum {
+            id,
+            precursor_mz: 0.0,
+            precursor_charge: 0,
+            neutral_mass: 0.0,
+            origin: SpectrumOrigin::Query,
+            peaks,
+        }
+    }
+
+    /// The sparse (bin, intensity) pairs, sorted by ascending bin index
+    /// (for preprocessed spectra).
     pub fn peaks(&self) -> &[BinnedPeak] {
         &self.peaks
     }

@@ -10,14 +10,14 @@ use std::time::Instant;
 /// The four pipeline stages a query batch decomposes into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Spectrum preprocessing + hypervector encoding
-    /// (`Preprocessor::run_batch`).
+    /// Spectrum preprocessing (`Preprocessor::run_batch`) only: despite
+    /// the name, query hypervectors are encoded inside [`Stage::Score`].
     Encode,
     /// Precursor-window candidate list generation
     /// (`candidate_lists`).
     Candidates,
-    /// Associative search over the shard-partitioned reference store
-    /// (the backend's batch search).
+    /// Query hypervector encoding plus associative search over the
+    /// shard-partitioned reference store (the backend's batch search).
     Score,
     /// Target–decoy FDR filtering at finalize time (`filter_fdr`).
     Finalize,

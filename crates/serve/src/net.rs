@@ -72,11 +72,6 @@ fn serve_connection_as(
     mut writer: impl Write,
     max_line: usize,
 ) -> io::Result<()> {
-    let answer = |response: Response, writer: &mut dyn Write| -> io::Result<()> {
-        writer.write_all(response.encode().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()
-    };
     let mut buf = Vec::new();
     loop {
         buf.clear();
@@ -97,9 +92,9 @@ fn serve_connection_as(
             }
         }
         if buf.len() > max_line {
-            answer(
-                Response::error(format!("request line exceeds {max_line} bytes")),
+            write_line(
                 &mut writer,
+                Response::error(format!("request line exceeds {max_line} bytes")).encode(),
             )?;
             return Ok(());
         }
@@ -111,8 +106,19 @@ fn serve_connection_as(
                 Err(message) => Response::error(message),
             },
         };
-        answer(response, &mut writer)?;
+        write_line(&mut writer, response.encode())?;
     }
+}
+
+/// Send one encoded message as one protocol line: the message and its
+/// `\n` go out in a single `write_all`, then the writer is flushed. A
+/// separate newline write would reach a TCP socket as a second small
+/// segment, which Nagle's algorithm holds until the peer's delayed ACK —
+/// tens of milliseconds per request.
+fn write_line(writer: &mut (impl Write + ?Sized), mut encoded: String) -> io::Result<()> {
+    encoded.push('\n');
+    writer.write_all(encoded.as_bytes())?;
+    writer.flush()
 }
 
 /// Accept connections forever, serving each on its own thread (at most
@@ -137,8 +143,7 @@ pub fn serve_listener(server: Arc<Server>, listener: TcpListener) -> io::Result<
             let refusal = Response::error(format!(
                 "server at capacity ({MAX_CONNECTIONS} connections)"
             ));
-            let _ = stream.write_all(refusal.encode().as_bytes());
-            let _ = stream.write_all(b"\n");
+            let _ = write_line(&mut stream, refusal.encode());
             continue; // stream drops, connection closes
         }
         let server = Arc::clone(&server);
@@ -209,11 +214,7 @@ impl Client {
     /// line — all reported as strings (the protocol's error channel is
     /// [`Response::Error`], which this returns as `Ok`).
     pub fn request(&mut self, request: &Request) -> Result<Response, String> {
-        self.writer
-            .write_all(request.encode().as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send failed: {e}"))?;
+        write_line(&mut self.writer, request.encode()).map_err(|e| format!("send failed: {e}"))?;
         let mut line = String::new();
         let n = self
             .reader
@@ -230,6 +231,42 @@ impl Client {
 mod tests {
     use super::*;
     use crate::protocol::PROTOCOL_VERSION;
+
+    /// Records each `write` call's bytes and counts flushes.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.writes.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_and_its_newline_go_out_in_one_write() {
+        let mut writer = RecordingWriter::default();
+        let encoded = Request::Ping.encode();
+        write_line(&mut writer, encoded.clone()).unwrap();
+        assert_eq!(writer.writes, vec![format!("{encoded}\n").into_bytes()]);
+        assert_eq!(writer.flushes, 1);
+
+        // Larger than a default `BufWriter`'s 8 KiB: still one write
+        // reaches the underlying stream.
+        let mut buffered = BufWriter::new(RecordingWriter::default());
+        let long = "x".repeat(20_000);
+        write_line(&mut buffered, long.clone()).unwrap();
+        let inner = buffered.into_inner().map_err(|e| e.into_error()).unwrap();
+        assert_eq!(inner.writes, vec![format!("{long}\n").into_bytes()]);
+    }
 
     #[test]
     fn oversized_lines_are_refused_not_buffered() {

@@ -552,15 +552,16 @@ pub struct BatchStats {
     /// Time spent scoring sketches and narrowing candidate lists,
     /// milliseconds (0 when the prefilter is off).
     pub sketch_ms: f64,
-    /// Time spent encoding query spectra into hypervectors,
-    /// milliseconds (for a session finalize: accumulated across every
+    /// Time spent preprocessing query spectra (the `encode` stage;
+    /// hypervector encoding is part of `score_ms`), milliseconds (for a
+    /// session finalize: accumulated across every
     /// submitted batch; likewise for the other stage timings).
     pub encode_ms: f64,
     /// Time spent building precursor-window candidate lists,
     /// milliseconds.
     pub candidates_ms: f64,
-    /// Time spent scoring candidates against the index shards,
-    /// milliseconds.
+    /// Time spent encoding query hypervectors and scoring candidates
+    /// against the index shards, milliseconds.
     pub score_ms: f64,
     /// Time spent in FDR finalization, milliseconds.
     pub finalize_ms: f64,
@@ -616,14 +617,14 @@ pub struct SubmitReceipt {
     pub latency_ms: f64,
     /// Time the batch waited in the scheduler queue, milliseconds.
     pub wait_ms: f64,
-    /// Time spent encoding query spectra into hypervectors,
-    /// milliseconds.
+    /// Time spent preprocessing query spectra (the `encode` stage;
+    /// hypervector encoding is part of `score_ms`), milliseconds.
     pub encode_ms: f64,
     /// Time spent building precursor-window candidate lists,
     /// milliseconds.
     pub candidates_ms: f64,
-    /// Time spent scoring candidates against the index shards,
-    /// milliseconds (there is no finalize stage at submit time — FDR
+    /// Time spent encoding query hypervectors and scoring candidates
+    /// against the index shards, milliseconds (there is no finalize stage at submit time — FDR
     /// runs once, at `session.finalize`).
     pub score_ms: f64,
     /// Per-shard scoring cost of the batch: which shards were visited,
