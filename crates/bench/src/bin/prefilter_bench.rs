@@ -82,14 +82,15 @@ fn run(
     for _ in 0..REPEATS {
         let start = Instant::now();
         let (outcome, receipt) = engine
-            .search_with_workers_opts(
-                queries,
+            .search_groups(
+                &[queries],
                 PrecursorWindow::open_default(),
                 FDR,
                 THREADS,
                 Some(config),
             )
-            .expect("sharded index-backed engine accepts any prefilter");
+            .expect("sharded index-backed engine accepts any prefilter")
+            .remove(0);
         let seconds = start.elapsed().as_secs_f64();
         if seconds < best {
             best = seconds;

@@ -290,14 +290,15 @@ fn main() {
         let time_search = |config: PrefilterConfig| {
             let run = || {
                 engine
-                    .search_with_workers_opts(
-                        &queries,
+                    .search_groups(
+                        &[&queries[..]],
                         PrecursorWindow::open_default(),
                         FDR,
                         options.threads,
                         Some(config),
                     )
                     .expect("sharded index-backed engine accepts any prefilter")
+                    .remove(0)
             };
             let _ = run(); // warm-up
             let start = Instant::now();

@@ -184,89 +184,41 @@ impl EngineBackend {
         }
     }
 
-    /// Score a batch under a worker budget, returning the hits plus
-    /// per-shard timings (empty for flat backends, which have no shards
-    /// to time) and the prefilter stage's per-batch accounting (zeroed
-    /// when `prefilter` is `None`). `workers` of `None` means "the
-    /// backend's own configured parallelism" (the unscheduled paths);
-    /// `Some(n)` caps the batch at `n` workers (the serve scheduler's
-    /// grants). Flat backends drive their own internal parallelism and
-    /// ignore the cap — the serve layer always runs sharded engines,
-    /// which honour it exactly. Every path is traced: per-shard
-    /// accounting is a few atomic adds per shard run, and keeping one
-    /// code path is what guarantees instrumented and uninstrumented
-    /// output are the same bytes.
-    fn search_batch(
+    /// Score a batch of request groups under a worker budget:
+    /// `group_sizes` splits the queries into consecutive groups, and
+    /// shard timings / prefilter stats come back per group (zeroed when
+    /// `prefilter` is `None`). Sharded backends score the merged batch
+    /// in one pass with per-group clocks and honour `workers` exactly.
+    /// Flat backends run one call per group under their own internal
+    /// parallelism and keep no shard or prefilter accounting (the serve
+    /// layer always runs sharded engines).
+    fn search(
         &self,
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
-        workers: Option<usize>,
+        workers: usize,
         prefilter: Option<(&SketchIndex, usize)>,
-    ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>, PrefilterStats) {
-        match self {
-            EngineBackend::Sharded(b) => {
-                b.search_batch_prefiltered(queries, candidates, workers, prefilter)
-            }
-            EngineBackend::Flat(b) => (
-                b.search_batch(queries, candidates),
-                Vec::new(),
-                PrefilterStats::default(),
-            ),
-        }
-    }
-
-    /// Shard visits a batch of candidate lists costs (0 for flat
-    /// backends, which have no shards to visit).
-    fn shards_touched(&self, candidates: &[Vec<u32>]) -> usize {
-        match self {
-            EngineBackend::Sharded(b) => b.shards_touched(candidates),
-            EngineBackend::Flat(_) => 0,
-        }
-    }
-
-    /// [`EngineBackend::search_batch`] over a merged multi-request
-    /// batch: query `i` belongs to group `group_of[i]`, and shard
-    /// timings / prefilter stats come back per group. Queries of a
-    /// group must be contiguous (the coalescing caller concatenates
-    /// group by group). Sharded backends score the merged batch in one
-    /// pass with per-group clocks; flat backends fall back to one call
-    /// per group (they keep no per-shard or prefilter accounting
-    /// either way).
-    fn search_batch_grouped(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: Option<usize>,
-        prefilter: Option<(&SketchIndex, usize)>,
-        group_of: &[u32],
-        group_count: usize,
+        group_sizes: &[usize],
     ) -> (
         Vec<Option<SearchHit>>,
         Vec<Vec<ShardTiming>>,
         Vec<PrefilterStats>,
     ) {
         match self {
-            EngineBackend::Sharded(b) => b.search_batch_grouped(
-                queries,
-                candidates,
-                workers,
-                prefilter,
-                group_of,
-                group_count,
-            ),
+            EngineBackend::Sharded(b) => {
+                b.search(queries, candidates, workers, prefilter, group_sizes)
+            }
             EngineBackend::Flat(b) => {
                 let mut hits = Vec::with_capacity(queries.len());
                 let mut at = 0usize;
-                for group in 0..group_count as u32 {
-                    let len = group_of[at..].iter().take_while(|&&g| g == group).count();
+                for &len in group_sizes {
                     hits.extend(b.search_batch(&queries[at..at + len], &candidates[at..at + len]));
                     at += len;
                 }
-                debug_assert_eq!(at, queries.len(), "group ids must be contiguous");
                 (
                     hits,
-                    vec![Vec::new(); group_count],
-                    vec![PrefilterStats::default(); group_count],
+                    vec![Vec::new(); group_sizes.len()],
+                    vec![PrefilterStats::default(); group_sizes.len()],
                 )
             }
         }
@@ -540,8 +492,8 @@ impl Engine {
 
     /// The engine's default candidate-prefilter configuration (see
     /// [`Engine::set_prefilter`]). New [`Session`]s start from this;
-    /// per-batch overrides go through
-    /// [`Engine::search_with_workers_opts`] or [`Session::set_prefilter`].
+    /// per-batch overrides go through [`Engine::search_groups`] or
+    /// [`Session::set_prefilter`].
     pub fn prefilter(&self) -> PrefilterConfig {
         self.prefilter
     }
@@ -560,44 +512,35 @@ impl Engine {
     /// (flat backends exist for apples-to-apples scans of the full
     /// candidate list); `Off` always succeeds.
     pub fn set_prefilter(&mut self, config: PrefilterConfig) -> Result<(), String> {
-        if !config.is_off() {
-            self.validate_prefilter()?;
-            // Force the sketch build now (a no-op when the `.hdx` v3
-            // section was loaded) so queries never pay it.
-            self.index
-                .as_ref()
-                .expect("validated index-backed")
-                .sketch_index();
-        }
+        self.prefilter_sketch(config)?;
         self.prefilter = config;
         Ok(())
     }
 
-    /// Check that this engine can run a `TopK` prefilter.
-    fn validate_prefilter(&self) -> Result<(), String> {
+    /// Resolve a prefilter configuration into the sketch handle the
+    /// backend scores with — the one place a `TopK` request is
+    /// validated and its sketch table warmed. `Off` resolves to `None`;
+    /// `TopK(k)` fetches the index's cached sketch, building it on first
+    /// use (a no-op when the `.hdx` v3 section was loaded), so the
+    /// set-time calls leave queries nothing to derive.
+    fn prefilter_sketch(
+        &self,
+        config: PrefilterConfig,
+    ) -> Result<Option<(Arc<SketchIndex>, usize)>, String> {
+        let Some(k) = config.top_k() else {
+            return Ok(None);
+        };
         if !matches!(self.backend, EngineBackend::Sharded(_)) {
             return Err(
                 "the prefilter requires the sharded backend (flat backends exist to scan the full candidate list)"
                     .to_owned(),
             );
         }
-        if self.index.is_none() {
-            return Err("the prefilter requires an index-backed engine".to_owned());
-        }
-        Ok(())
-    }
-
-    /// Resolve a prefilter configuration into the sketch handle the
-    /// backend scores with. `Off` resolves to `None`; `TopK` fetches the
-    /// index's cached sketch (built at [`Engine::set_prefilter`] /
-    /// [`Session::set_prefilter`] time).
-    fn resolve_prefilter(&self, config: PrefilterConfig) -> Option<(Arc<SketchIndex>, usize)> {
-        let k = config.top_k()?;
         let index = self
             .index
             .as_ref()
-            .expect("TopK prefilter is validated at set time");
-        Some((index.sketch_index(), k))
+            .ok_or("the prefilter requires an index-backed engine")?;
+        Ok(Some((index.sketch_index(), k)))
     }
 
     /// The name of the distance kernel this process scores with
@@ -683,20 +626,13 @@ impl Engine {
         window: PrecursorWindow,
         alpha: f64,
     ) -> (PipelineOutcome, BatchReceipt) {
-        let mut session = self.session(window);
-        let mut receipt = session.submit(spectra);
-        let (outcome, finalize_ms) = session.finalize_traced(alpha);
-        receipt.stages.finalize_ms = finalize_ms;
-        (outcome, receipt)
+        self.search_with_workers(spectra, window, alpha, self.threads)
     }
 
     /// [`Engine::search`] under an explicit worker budget: the batch
     /// uses at most `workers` threads instead of the engine's configured
-    /// parallelism. This is the entry point the serve layer's scheduler
-    /// drives — each admitted batch runs with exactly the budget it was
-    /// granted, so concurrent batches never oversubscribe the machine.
-    /// PSM tables are byte-identical across budgets (scoring is
-    /// deterministic and order-preserving).
+    /// parallelism. PSM tables are byte-identical across budgets
+    /// (scoring is deterministic and order-preserving).
     ///
     /// # Panics
     ///
@@ -708,56 +644,30 @@ impl Engine {
         alpha: f64,
         workers: usize,
     ) -> (PipelineOutcome, BatchReceipt) {
-        self.search_with_workers_opts(spectra, window, alpha, workers, None)
-            .expect("no per-batch prefilter override to validate")
+        self.search_groups(&[spectra], window, alpha, workers, None)
+            .expect("the engine's own prefilter is validated when set")
+            .pop()
+            .expect("one group was searched")
     }
 
-    /// [`Engine::search_with_workers`] with a per-batch prefilter
-    /// override: `Some(config)` runs this batch under `config` instead
-    /// of the engine's default (the serve protocol's per-request
-    /// `prefilter` option routes here), `None` uses the default.
+    /// Search several independent requests as **one merged scoring
+    /// batch** and filter FDR per request — the serve layer's query
+    /// path, whether a request runs alone (one group) or coalesced
+    /// with others.
     ///
-    /// # Errors
-    ///
-    /// Fails when the override is `TopK` on an engine that cannot
-    /// prefilter (see [`Engine::set_prefilter`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid window or FDR level.
-    pub fn search_with_workers_opts(
-        self: &Arc<Self>,
-        spectra: &[Spectrum],
-        window: PrecursorWindow,
-        alpha: f64,
-        workers: usize,
-        prefilter: Option<PrefilterConfig>,
-    ) -> Result<(PipelineOutcome, BatchReceipt), String> {
-        let mut session = self.session(window);
-        if let Some(config) = prefilter {
-            session.set_prefilter(config)?;
-        }
-        let mut receipt = session.submit_with_workers(spectra, workers);
-        let (outcome, finalize_ms) = session.finalize_traced(alpha);
-        receipt.stages.finalize_ms = finalize_ms;
-        Ok((outcome, receipt))
-    }
-
-    /// Execute several independent requests as **one merged scoring
-    /// batch** and split the results back out per request — the
-    /// cross-request coalescing seam the serve layer drives.
+    /// `workers` caps the batch's threads (the serve scheduler's
+    /// grant); `prefilter` of `Some(config)` runs the batch under
+    /// `config` instead of the engine's default (the protocol's
+    /// per-request option), `None` uses the default.
     ///
     /// Group `g` of the result is byte-identical (PSMs, threshold,
-    /// identifications, candidate counts) to
-    /// [`Engine::search_with_workers_opts`] over `groups[g]` alone:
-    /// preprocessing and candidate generation run per group on the
-    /// group's own spectra, per-query scoring is independent of batch
-    /// composition, the backend's per-group clocks keep shard and
-    /// prefilter accounting exact, and FDR is filtered per group over
-    /// that group's own PSMs. Only wall-clock figures differ from an
-    /// uncoalesced run: the merged scoring stage's time is apportioned
-    /// across groups by binned-query count, and each receipt's
-    /// `latency_ms` is its stage sum.
+    /// identifications, candidate counts) to a search over `groups[g]`
+    /// alone: preprocessing and candidate generation run per group,
+    /// per-query scoring is independent of batch composition, the
+    /// backend's per-group clocks keep shard and prefilter accounting
+    /// exact, and FDR is filtered per group over that group's own PSMs.
+    /// Only wall-clock figures depend on the merge (see
+    /// [`BatchReceipt::latency_ms`]).
     ///
     /// Each group counts as one engine batch in the attached metrics
     /// (one observation per group in every stage histogram), so
@@ -782,163 +692,191 @@ impl Engine {
     ) -> Result<Vec<(PipelineOutcome, BatchReceipt)>, String> {
         window.validate();
         assert!(alpha > 0.0 && alpha < 1.0, "FDR level must be in (0, 1)");
-        let config = prefilter.unwrap_or(self.prefilter);
-        if !config.is_off() {
-            self.validate_prefilter()?;
-            self.index
-                .as_ref()
-                .expect("validated index-backed")
-                .sketch_index();
-        }
-        let narrowing = self.resolve_prefilter(config);
+        let runs = self.execute(
+            groups,
+            &window,
+            workers,
+            prefilter.unwrap_or(self.prefilter),
+        )?;
+        Ok(runs
+            .into_iter()
+            .map(|(psms, mut receipt)| {
+                let (outcome, finalize_ms) = self.finalize_psms(
+                    psms,
+                    alpha,
+                    receipt.queries,
+                    receipt.rejected_queries,
+                    receipt.candidates_scored,
+                );
+                receipt.stages.finalize_ms = finalize_ms;
+                receipt.latency_ms += finalize_ms;
+                (outcome, receipt)
+            })
+            .collect())
+    }
 
-        // Per-group preprocess + candidate generation: identical inputs
-        // to what each request would produce alone, concatenated group
-        // by group so the merged batch stays group-contiguous.
-        struct GroupPrep {
-            start: usize,
-            len: usize,
-            rejected: usize,
-            encode_ms: f64,
-            candidates_ms: f64,
-        }
+    /// The batch executor every search runs through: preprocess and
+    /// generate candidates per group, score all groups in one backend
+    /// call, then assemble each group's raw PSMs and account its
+    /// receipt and registry series. Returns one `(psms, receipt)` per
+    /// group; each receipt reads as a session's first batch
+    /// (`batch` 1, `total_psms` = `psms`) with `finalize_ms` 0, for the
+    /// caller to renumber or finalize.
+    ///
+    /// The span decomposition: each stage is timed where it runs, so
+    /// the per-stage figures in receipts, `BatchStats`, and the
+    /// `hdoms_stage_*_ms` histograms all come from one measurement.
+    /// The shared scoring stage is apportioned across groups by
+    /// binned-query count (evenly when no group has any).
+    fn execute(
+        &self,
+        groups: &[&[Spectrum]],
+        window: &PrecursorWindow,
+        workers: usize,
+        prefilter: PrefilterConfig,
+    ) -> Result<Vec<(Vec<Psm>, BatchReceipt)>, String> {
+        let start = Instant::now();
+        let narrowing = self.prefilter_sketch(prefilter)?;
         let pre = Preprocessor::new(self.preprocess);
-        let mut merged_binned: Vec<BinnedSpectrum> = Vec::new();
-        let mut merged_cands: Vec<Vec<u32>> = Vec::new();
-        let mut preps: Vec<GroupPrep> = Vec::with_capacity(groups.len());
+        let mut binned: Vec<BinnedSpectrum> = Vec::new();
+        let mut cands: Vec<Vec<u32>> = Vec::new();
+        let mut stages = Vec::with_capacity(groups.len());
+        let mut sizes = Vec::with_capacity(groups.len());
         for spectra in groups {
-            let ((mut binned, rejected), encode_ms) =
+            let ((mut group_binned, _), encode_ms) =
                 hdoms_obs::trace::timed(|| pre.run_batch(spectra));
-            let (mut cands, candidates_ms) = hdoms_obs::trace::timed(|| {
-                hdoms_oms::search::candidate_lists(&self.candidates, &window, &binned)
+            let (mut group_cands, candidates_ms) = hdoms_obs::trace::timed(|| {
+                hdoms_oms::search::candidate_lists(&self.candidates, window, &group_binned)
             });
-            let start = merged_binned.len();
-            let len = binned.len();
-            merged_binned.append(&mut binned);
-            merged_cands.append(&mut cands);
-            preps.push(GroupPrep {
-                start,
-                len,
-                rejected,
+            sizes.push(group_binned.len());
+            stages.push(StageTimings {
                 encode_ms,
                 candidates_ms,
+                ..StageTimings::default()
             });
+            binned.append(&mut group_binned);
+            cands.append(&mut group_cands);
         }
-        let group_of: Vec<u32> = preps
-            .iter()
-            .enumerate()
-            .flat_map(|(g, p)| std::iter::repeat_n(g as u32, p.len))
-            .collect();
-        let total_binned = merged_binned.len();
-
-        // One scoring pass over the merged batch; accounting splits by
-        // group inside the backend.
-        let ((hits, mut group_timings, group_stats), score_ms) = hdoms_obs::trace::timed(|| {
-            self.backend.search_batch_grouped(
-                &merged_binned,
-                &merged_cands,
-                Some(workers.max(1)),
+        let ((hits, timings, stats), score_ms) = hdoms_obs::trace::timed(|| {
+            self.backend.search(
+                &binned,
+                &cands,
+                workers,
                 narrowing.as_ref().map(|(sketch, k)| (sketch.as_ref(), *k)),
-                &group_of,
-                groups.len().max(1),
+                &sizes,
             )
         });
 
-        let mut results = Vec::with_capacity(groups.len());
-        for (g, prep) in preps.iter().enumerate() {
-            let range = prep.start..prep.start + prep.len;
-            let binned_g = &merged_binned[range.clone()];
-            let hits_g = &hits[range.clone()];
-            let cands_g = &merged_cands[range];
-            let psms = assemble_psms(binned_g, hits_g, &self.meta);
-            let batch_psms = psms.len();
-            let window_candidates: usize = cands_g.iter().map(Vec::len).sum();
-            let (candidates_scored, candidates_pre, shards_touched, sketch_ms) =
-                if narrowing.is_none() {
-                    let shards = self.backend.shards_touched(cands_g);
-                    (window_candidates, window_candidates, shards, 0.0)
-                } else {
-                    let stats = &group_stats[g];
-                    let shards: u64 = group_timings[g].iter().map(|t| t.visits).sum();
-                    (
-                        stats.candidates_post as usize,
-                        stats.candidates_pre as usize,
-                        shards as usize,
-                        stats.sketch_ms,
-                    )
-                };
-            // The merged scoring pass's wall-clock, apportioned by how
-            // much of the batch each group contributed (time is not
-            // part of the identity contract; counts above are exact).
-            let score_share = if total_binned == 0 {
-                score_ms / groups.len().max(1) as f64
+        let share = |len: usize| {
+            if binned.is_empty() {
+                1.0 / groups.len() as f64
             } else {
-                score_ms * prep.len as f64 / total_binned as f64
+                len as f64 / binned.len() as f64
+            }
+        };
+        let mut at = 0usize;
+        let mut runs = Vec::with_capacity(groups.len());
+        for (g, (shard_timings, stats)) in timings.into_iter().zip(stats).enumerate() {
+            let range = at..at + sizes[g];
+            at = range.end;
+            let psms = assemble_psms(&binned[range.clone()], &hits[range.clone()], &self.meta);
+            let candidates_pre: usize = cands[range].iter().map(Vec::len).sum();
+            let candidates_scored = if narrowing.is_some() {
+                stats.candidates_post as usize
+            } else {
+                candidates_pre
             };
-            let (
-                FdrOutcome {
-                    accepted,
-                    threshold_score,
-                    decoys_above,
-                    ..
-                },
-                finalize_ms,
-            ) = hdoms_obs::trace::timed(|| filter_fdr(&psms, alpha));
+            let shards_touched: u64 = shard_timings.iter().map(|t| t.visits).sum();
+            stages[g].score_ms = score_ms * share(sizes[g]);
             if let Some(metrics) = &self.metrics {
                 metrics.batches.inc();
                 metrics.queries.add(groups[g].len() as u64);
-                metrics.psms.add(batch_psms as u64);
-                metrics.stage_encode_ms.record_ms(prep.encode_ms);
-                metrics.stage_candidates_ms.record_ms(prep.candidates_ms);
-                metrics.stage_score_ms.record_ms(score_share);
-                metrics.stage_finalize_ms.record_ms(finalize_ms);
+                metrics.psms.add(psms.len() as u64);
+                metrics.stage_encode_ms.record_ms(stages[g].encode_ms);
+                metrics
+                    .stage_candidates_ms
+                    .record_ms(stages[g].candidates_ms);
+                metrics.stage_score_ms.record_ms(stages[g].score_ms);
                 if narrowing.is_some() {
                     metrics.prefilter_candidates_pre.add(candidates_pre as u64);
                     metrics
                         .prefilter_candidates_post
                         .add(candidates_scored as u64);
-                    metrics.prefilter_sketch_ms.record_ms(sketch_ms);
+                    metrics.prefilter_sketch_ms.record_ms(stats.sketch_ms);
                 }
             }
-            let stages = StageTimings {
-                encode_ms: prep.encode_ms,
-                candidates_ms: prep.candidates_ms,
-                score_ms: score_share,
-                finalize_ms,
-            };
-            let mean_candidates = if prep.len == 0 {
-                0.0
-            } else {
-                candidates_scored as f64 / prep.len as f64
-            };
             let receipt = BatchReceipt {
                 batch: 1,
                 queries: groups[g].len(),
-                rejected_queries: prep.rejected,
-                psms: batch_psms,
-                total_psms: batch_psms,
+                rejected_queries: groups[g].len() - sizes[g],
+                psms: psms.len(),
+                total_psms: psms.len(),
                 candidates_scored,
                 candidates_pre,
                 candidates_post: candidates_scored,
-                sketch_ms,
-                shards_touched,
-                latency_ms: stages.encode_ms + stages.candidates_ms + score_share + finalize_ms,
-                stages,
-                shard_timings: std::mem::take(&mut group_timings[g]),
+                sketch_ms: stats.sketch_ms,
+                shards_touched: shards_touched as usize,
+                latency_ms: 0.0,
+                stages: stages[g],
+                shard_timings,
             };
-            let outcome = PipelineOutcome {
+            runs.push((psms, receipt));
+        }
+        // Latency: the group's own stages plus its share of everything
+        // the groups shared (scoring and assembly) — the whole wall-clock
+        // for a lone group.
+        let own_ms: f64 = stages.iter().map(|s| s.encode_ms + s.candidates_ms).sum();
+        let shared_ms = (start.elapsed().as_secs_f64() * 1e3 - own_ms).max(0.0);
+        for (g, (_, receipt)) in runs.iter_mut().enumerate() {
+            receipt.latency_ms =
+                stages[g].encode_ms + stages[g].candidates_ms + shared_ms * share(sizes[g]);
+        }
+        Ok(runs)
+    }
+
+    /// Filter FDR at `alpha` over `psms` and wrap the result as a
+    /// pipeline outcome, recording the finalize stage. Returns the
+    /// outcome and the FDR stage's wall-clock in milliseconds.
+    fn finalize_psms(
+        &self,
+        psms: Vec<Psm>,
+        alpha: f64,
+        total_queries: usize,
+        rejected_queries: usize,
+        candidates_scored: usize,
+    ) -> (PipelineOutcome, f64) {
+        assert!(alpha > 0.0 && alpha < 1.0, "FDR level must be in (0, 1)");
+        let (
+            FdrOutcome {
+                accepted,
+                threshold_score,
+                decoys_above,
+                ..
+            },
+            finalize_ms,
+        ) = hdoms_obs::trace::timed(|| filter_fdr(&psms, alpha));
+        if let Some(metrics) = &self.metrics {
+            metrics.stage_finalize_ms.record_ms(finalize_ms);
+        }
+        let binned_queries = total_queries - rejected_queries;
+        let mean_candidates = if binned_queries == 0 {
+            0.0
+        } else {
+            candidates_scored as f64 / binned_queries as f64
+        };
+        (
+            PipelineOutcome {
                 backend_name: self.backend.name(),
                 psms,
                 accepted,
                 threshold_score,
                 decoys_above,
-                rejected_queries: prep.rejected,
-                total_queries: groups[g].len(),
+                rejected_queries,
+                total_queries,
                 mean_candidates,
-            };
-            results.push((outcome, receipt));
-        }
-        Ok(results)
+            },
+            finalize_ms,
+        )
     }
 }
 
@@ -968,9 +906,14 @@ pub struct BatchReceipt {
     /// Wall-clock spent scoring sketches and narrowing, milliseconds
     /// (0 when the prefilter is off).
     pub sketch_ms: f64,
-    /// Shard visits this batch cost (0 on unsharded engines).
+    /// Shard visits this batch cost: the sum of `shard_timings`'
+    /// visits (0 on unsharded engines).
     pub shards_touched: usize,
-    /// Wall-clock time spent on this batch, milliseconds.
+    /// Wall-clock time spent on this batch, milliseconds: its own
+    /// preprocess and candidate stages plus its binned-query share of
+    /// the scoring and assembly it shared with merged groups (the whole
+    /// execution wall-clock for a lone batch), plus `finalize_ms` on the
+    /// one-shot paths.
     pub latency_ms: f64,
     /// The batch's wall-clock decomposed into pipeline stages
     /// (`finalize_ms` is 0 on a submit receipt; the one-shot
@@ -998,10 +941,8 @@ pub struct Session {
     batches: usize,
     total_queries: usize,
     rejected_queries: usize,
-    binned_queries: usize,
     candidates_scored: usize,
     candidates_pre: usize,
-    candidates_post: usize,
     sketch_ms: f64,
     shards_touched: usize,
     latency_ms: f64,
@@ -1025,10 +966,8 @@ impl Session {
             batches: 0,
             total_queries: 0,
             rejected_queries: 0,
-            binned_queries: 0,
             candidates_scored: 0,
             candidates_pre: 0,
-            candidates_post: 0,
             sketch_ms: 0.0,
             shards_touched: 0,
             latency_ms: 0.0,
@@ -1051,14 +990,7 @@ impl Session {
     /// Fails when `config` is `TopK` on an engine that cannot prefilter
     /// (see [`Engine::set_prefilter`]).
     pub fn set_prefilter(&mut self, config: PrefilterConfig) -> Result<(), String> {
-        if !config.is_off() {
-            self.engine.validate_prefilter()?;
-            self.engine
-                .index
-                .as_ref()
-                .expect("validated index-backed")
-                .sketch_index();
-        }
+        self.engine.prefilter_sketch(config)?;
         self.prefilter = config;
         Ok(())
     }
@@ -1088,7 +1020,8 @@ impl Session {
         self.psms.len()
     }
 
-    /// Candidate references scored so far.
+    /// Candidate references scored so far — the candidates forwarded
+    /// to the exact scan after any prefilter narrowing.
     pub fn candidates_scored(&self) -> usize {
         self.candidates_scored
     }
@@ -1098,12 +1031,6 @@ impl Session {
     /// prefilter is off).
     pub fn candidates_pre(&self) -> usize {
         self.candidates_pre
-    }
-
-    /// Candidates forwarded to the exact scan so far (always equals
-    /// [`Session::candidates_scored`]).
-    pub fn candidates_post(&self) -> usize {
-        self.candidates_post
     }
 
     /// Wall-clock milliseconds spent in the sketch prefilter so far.
@@ -1129,11 +1056,11 @@ impl Session {
         self.stages
     }
 
-    /// Encode, search, and accumulate one batch of query spectra. No FDR
-    /// filtering happens here — raw PSMs collect until
-    /// [`Session::finalize`].
+    /// Encode, search, and accumulate one batch of query spectra with
+    /// the engine's configured parallelism. No FDR filtering happens
+    /// here — raw PSMs collect until [`Session::finalize`].
     pub fn submit(&mut self, spectra: &[Spectrum]) -> BatchReceipt {
-        self.submit_inner(spectra, None)
+        self.submit_with_workers(spectra, self.engine.threads)
     }
 
     /// [`Session::submit`] under an explicit worker budget: this batch
@@ -1143,101 +1070,25 @@ impl Session {
     /// batch's granted budget; accumulated PSMs — and therefore the
     /// finalized table — are byte-identical across budgets.
     pub fn submit_with_workers(&mut self, spectra: &[Spectrum], workers: usize) -> BatchReceipt {
-        self.submit_inner(spectra, Some(workers.max(1)))
-    }
-
-    fn submit_inner(&mut self, spectra: &[Spectrum], workers: Option<usize>) -> BatchReceipt {
-        let start = Instant::now();
-        // The span decomposition: each stage is timed where it runs, so
-        // the per-stage figures in receipts, `BatchStats`, and the
-        // `hdoms_stage_*_ms` histograms all come from one measurement.
-        let pre = Preprocessor::new(self.engine.preprocess);
-        let ((binned, rejected), encode_ms) = hdoms_obs::trace::timed(|| pre.run_batch(spectra));
-        let (cands, candidates_ms) = hdoms_obs::trace::timed(|| {
-            hdoms_oms::search::candidate_lists(&self.engine.candidates, &self.window, &binned)
-        });
-        let narrowing = self.engine.resolve_prefilter(self.prefilter);
-        let ((hits, shard_timings, prefilter_stats), score_ms) = hdoms_obs::trace::timed(|| {
-            self.engine.backend.search_batch(
-                &binned,
-                &cands,
-                workers,
-                narrowing.as_ref().map(|(sketch, k)| (sketch.as_ref(), *k)),
-            )
-        });
-        let psms = assemble_psms(&binned, &hits, &self.engine.meta);
-        // With the prefilter off, accounting is computed exactly as it
-        // always was (the byte-identity contract covers receipts too).
-        // With it on, the exact scan saw only the narrowed lists, so
-        // `candidates_scored` comes from the prefilter clock and shard
-        // visits from the traced per-shard timings.
-        let window_candidates: usize = cands.iter().map(Vec::len).sum();
-        let (candidates_scored, candidates_pre, shards_touched, sketch_ms) = if narrowing.is_none()
-        {
-            let shards = self.engine.backend.shards_touched(&cands);
-            (window_candidates, window_candidates, shards, 0.0)
-        } else {
-            let shards: u64 = shard_timings.iter().map(|t| t.visits).sum();
-            (
-                prefilter_stats.candidates_post as usize,
-                prefilter_stats.candidates_pre as usize,
-                shards as usize,
-                prefilter_stats.sketch_ms,
-            )
-        };
-        let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-        let stages = StageTimings {
-            encode_ms,
-            candidates_ms,
-            score_ms,
-            finalize_ms: 0.0,
-        };
-
+        let (psms, mut receipt) = self
+            .engine
+            .execute(&[spectra], &self.window, workers, self.prefilter)
+            .expect("the session's prefilter is validated when set")
+            .pop()
+            .expect("one group was executed");
         self.batches += 1;
-        self.total_queries += spectra.len();
-        self.rejected_queries += rejected;
-        self.binned_queries += binned.len();
-        self.candidates_scored += candidates_scored;
-        self.candidates_pre += candidates_pre;
-        self.candidates_post += candidates_scored;
-        self.sketch_ms += sketch_ms;
-        self.shards_touched += shards_touched;
-        self.latency_ms += latency_ms;
-        self.stages.accumulate(&stages);
-        let batch_psms = psms.len();
+        self.total_queries += receipt.queries;
+        self.rejected_queries += receipt.rejected_queries;
+        self.candidates_scored += receipt.candidates_scored;
+        self.candidates_pre += receipt.candidates_pre;
+        self.sketch_ms += receipt.sketch_ms;
+        self.shards_touched += receipt.shards_touched;
+        self.latency_ms += receipt.latency_ms;
+        self.stages.accumulate(&receipt.stages);
         self.psms.extend(psms);
-
-        if let Some(metrics) = &self.engine.metrics {
-            metrics.batches.inc();
-            metrics.queries.add(spectra.len() as u64);
-            metrics.psms.add(batch_psms as u64);
-            metrics.stage_encode_ms.record_ms(encode_ms);
-            metrics.stage_candidates_ms.record_ms(candidates_ms);
-            metrics.stage_score_ms.record_ms(score_ms);
-            if narrowing.is_some() {
-                metrics.prefilter_candidates_pre.add(candidates_pre as u64);
-                metrics
-                    .prefilter_candidates_post
-                    .add(candidates_scored as u64);
-                metrics.prefilter_sketch_ms.record_ms(sketch_ms);
-            }
-        }
-
-        BatchReceipt {
-            batch: self.batches,
-            queries: spectra.len(),
-            rejected_queries: rejected,
-            psms: batch_psms,
-            total_psms: self.psms.len(),
-            candidates_scored,
-            candidates_pre,
-            candidates_post: candidates_scored,
-            sketch_ms,
-            shards_touched,
-            latency_ms,
-            stages,
-            shard_timings,
-        }
+        receipt.batch = self.batches;
+        receipt.total_psms = self.psms.len();
+        receipt
     }
 
     /// Filter FDR at `alpha` over **all** PSMs submitted so far and close
@@ -1262,36 +1113,12 @@ impl Session {
     ///
     /// Panics unless `0 < alpha < 1`.
     pub fn finalize_traced(self, alpha: f64) -> (PipelineOutcome, f64) {
-        assert!(alpha > 0.0 && alpha < 1.0, "FDR level must be in (0, 1)");
-        let (
-            FdrOutcome {
-                accepted,
-                threshold_score,
-                decoys_above,
-                ..
-            },
-            finalize_ms,
-        ) = hdoms_obs::trace::timed(|| filter_fdr(&self.psms, alpha));
-        if let Some(metrics) = &self.engine.metrics {
-            metrics.stage_finalize_ms.record_ms(finalize_ms);
-        }
-        let mean_candidates = if self.binned_queries == 0 {
-            0.0
-        } else {
-            self.candidates_scored as f64 / self.binned_queries as f64
-        };
-        (
-            PipelineOutcome {
-                backend_name: self.engine.backend.name(),
-                psms: self.psms,
-                accepted,
-                threshold_score,
-                decoys_above,
-                rejected_queries: self.rejected_queries,
-                total_queries: self.total_queries,
-                mean_candidates,
-            },
-            finalize_ms,
+        self.engine.finalize_psms(
+            self.psms,
+            alpha,
+            self.total_queries,
+            self.rejected_queries,
+            self.candidates_scored,
         )
     }
 }
@@ -1386,46 +1213,129 @@ mod tests {
     fn grouped_search_matches_individual_searches_exactly() {
         // The coalescing contract: merging requests into one scoring
         // batch must not change any request's output or deterministic
-        // accounting — with the prefilter off and on.
-        let (workload, mut engine) = {
-            let (w, e) = tiny_engine(27);
-            (w, Arc::try_unwrap(e).ok().expect("sole handle"))
-        };
-        engine.set_prefilter(PrefilterConfig::Off).unwrap();
-        let engine = Arc::new(engine);
+        // accounting — on the sharded and the flat backend, with the
+        // prefilter off and on, and for degenerate groups (empty, and
+        // every spectrum rejected by preprocessing). With the prefilter
+        // off each group must also equal the classic pipeline.
+        let (workload, engine) = tiny_engine(27);
+        let index = engine.index().expect("index-backed").clone();
+        let flat = Arc::new(Engine::from_index_flat(index.clone(), 2).expect("same kind"));
         let n = workload.queries.len();
+        let rejected: Vec<Spectrum> = workload.queries[..4]
+            .iter()
+            .map(|s| {
+                Spectrum::new(
+                    s.id,
+                    s.precursor_mz,
+                    s.precursor_charge,
+                    s.peaks()[..2].to_vec(),
+                    s.origin,
+                )
+            })
+            .collect();
         let groups: Vec<&[Spectrum]> = vec![
             &workload.queries[..n / 3],
+            &[],
             &workload.queries[n / 3..2 * n / 3],
+            &rejected,
             &workload.queries[2 * n / 3..],
         ];
-        for prefilter in [None, Some(PrefilterConfig::TopK(16))] {
-            let merged = engine
-                .search_groups(&groups, PrecursorWindow::open_default(), 0.01, 2, prefilter)
-                .expect("groups searched");
-            assert_eq!(merged.len(), groups.len());
-            for (g, (outcome, receipt)) in merged.iter().enumerate() {
-                let (solo, solo_receipt) = engine
-                    .search_with_workers_opts(
-                        groups[g],
-                        PrecursorWindow::open_default(),
-                        0.01,
-                        2,
-                        prefilter,
-                    )
-                    .expect("solo search");
-                assert_eq!(outcome.psms, solo.psms, "group {g} PSMs diverged");
-                assert_eq!(outcome.accepted, solo.accepted);
-                assert_eq!(outcome.threshold_score, solo.threshold_score);
-                assert_eq!(outcome.decoys_above, solo.decoys_above);
-                assert_eq!(outcome.total_queries, solo.total_queries);
-                assert_eq!(outcome.mean_candidates, solo.mean_candidates);
-                assert_eq!(receipt.queries, solo_receipt.queries);
-                assert_eq!(receipt.psms, solo_receipt.psms);
-                assert_eq!(receipt.candidates_pre, solo_receipt.candidates_pre);
-                assert_eq!(receipt.candidates_post, solo_receipt.candidates_post);
-                assert_eq!(receipt.candidates_scored, solo_receipt.candidates_scored);
-                assert_eq!(receipt.shards_touched, solo_receipt.shards_touched);
+        let window = PrecursorWindow::open_default();
+        let mut classic_config = hdoms_oms::pipeline::PipelineConfig {
+            window,
+            fdr_level: 0.01,
+            ..hdoms_oms::pipeline::PipelineConfig::default()
+        };
+        classic_config.preprocess = index.kind().preprocess();
+        let classic = hdoms_oms::pipeline::OmsPipeline::new(classic_config);
+        let classic_backend = index.to_exact_backend(2).expect("same kind");
+        for (engine, prefilters) in [
+            (&engine, vec![None, Some(PrefilterConfig::TopK(16))]),
+            (&flat, vec![None]),
+        ] {
+            for prefilter in prefilters {
+                let merged = engine
+                    .search_groups(&groups, window, 0.01, 2, prefilter)
+                    .expect("groups searched");
+                assert_eq!(merged.len(), groups.len());
+                for (g, (outcome, receipt)) in merged.iter().enumerate() {
+                    let (solo, solo_receipt) = engine
+                        .search_groups(&[groups[g]], window, 0.01, 2, prefilter)
+                        .expect("solo search")
+                        .remove(0);
+                    assert_eq!(outcome.psms, solo.psms, "group {g} PSMs diverged");
+                    assert_eq!(outcome.accepted, solo.accepted);
+                    assert_eq!(outcome.threshold_score, solo.threshold_score);
+                    assert_eq!(outcome.decoys_above, solo.decoys_above);
+                    assert_eq!(outcome.total_queries, solo.total_queries);
+                    assert_eq!(outcome.rejected_queries, solo.rejected_queries);
+                    assert_eq!(outcome.mean_candidates, solo.mean_candidates);
+                    assert_eq!(receipt.queries, solo_receipt.queries);
+                    assert_eq!(receipt.psms, solo_receipt.psms);
+                    assert_eq!(receipt.candidates_pre, solo_receipt.candidates_pre);
+                    assert_eq!(receipt.candidates_post, solo_receipt.candidates_post);
+                    assert_eq!(receipt.candidates_scored, solo_receipt.candidates_scored);
+                    assert_eq!(receipt.shards_touched, solo_receipt.shards_touched);
+                    if prefilter.is_none() {
+                        let reference = classic.run_catalog(groups[g], &index, &classic_backend);
+                        assert_eq!(outcome.psms, reference.psms, "group {g} vs classic");
+                        assert_eq!(outcome.threshold_score, reference.threshold_score);
+                        assert_eq!(outcome.accepted, reference.accepted);
+                    }
+                }
+                assert_eq!(merged[1].0.total_queries, 0, "the empty group");
+                assert_eq!(merged[3].0.rejected_queries, rejected.len());
+                assert!(merged[3].0.psms.is_empty(), "a fully rejected group");
+                assert_eq!(merged[3].1.candidates_pre, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn shards_touched_is_the_sum_of_shard_visits() {
+        // One source for shard visits: every path records shard
+        // timings, and the receipt's figure is their visit total. With
+        // the prefilter off it is also the number of distinct shards
+        // each query's precursor window reaches.
+        let (workload, engine) = tiny_engine(28);
+        let index = engine.index().expect("index-backed");
+        let mut shard_of = vec![0usize; index.entry_count()];
+        for (s, shard) in index.shards().iter().enumerate() {
+            for e in &shard.entries {
+                shard_of[e.id as usize] = s;
+            }
+        }
+        let window = PrecursorWindow::open_default();
+        let pre = Preprocessor::new(engine.preprocess());
+        let candidates = index.candidate_index();
+        let (binned, _) = pre.run_batch(&workload.queries);
+        let windows_shards: usize = binned
+            .iter()
+            .map(|q| {
+                candidates
+                    .candidates(&window, q.neutral_mass)
+                    .iter()
+                    .map(|&id| shard_of[id as usize])
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len()
+            })
+            .sum();
+        for prefilter in [
+            PrefilterConfig::Off,
+            PrefilterConfig::TopK(8),
+            PrefilterConfig::TopK(workload.library.len()),
+        ] {
+            let (_, receipt) = engine
+                .search_groups(&[&workload.queries], window, 0.01, 2, Some(prefilter))
+                .expect("sharded index-backed engine accepts any prefilter")
+                .remove(0);
+            let visits: u64 = receipt.shard_timings.iter().map(|t| t.visits).sum();
+            assert_eq!(receipt.shards_touched as u64, visits, "{prefilter:?}");
+            if prefilter
+                .top_k()
+                .is_none_or(|k| k >= workload.library.len())
+            {
+                assert_eq!(receipt.shards_touched, windows_shards, "{prefilter:?}");
             }
         }
     }

@@ -129,7 +129,7 @@ fn lossy_k_preserves_fdr_identifications_on_iprg() {
 
 #[test]
 fn per_batch_override_matches_the_engine_default() {
-    // `search_with_workers_opts(.., Some(config))` must behave exactly
+    // A one-group `search_groups(.., Some(config))` must behave exactly
     // like an engine whose default is `config` — in both directions.
     let workload = SyntheticWorkload::generate(&WorkloadSpec::tiny(), 7004);
     let window = PrecursorWindow::open_default();
@@ -147,23 +147,25 @@ fn per_batch_override_matches_the_engine_default() {
 
     // Override an Off engine up to TopK and a TopK engine down to Off.
     let (up, up_receipt) = off_default
-        .search_with_workers_opts(
-            &workload.queries,
+        .search_groups(
+            &[&workload.queries],
             window,
             0.01,
             THREADS,
             Some(PrefilterConfig::TopK(k)),
         )
-        .expect("override accepted");
+        .expect("override accepted")
+        .remove(0);
     let (down, down_receipt) = topk_default
-        .search_with_workers_opts(
-            &workload.queries,
+        .search_groups(
+            &[&workload.queries],
             window,
             0.01,
             THREADS,
             Some(PrefilterConfig::Off),
         )
-        .expect("override accepted");
+        .expect("override accepted")
+        .remove(0);
     assert_eq!(up, topk_outcome, "Off engine overridden to TopK diverged");
     assert_eq!(down, off_outcome, "TopK engine overridden to Off diverged");
     assert!(up_receipt.candidates_post <= up_receipt.candidates_pre);
@@ -202,8 +204,8 @@ fn topk_is_rejected_off_the_sharded_index_path() {
     // The per-batch override path enforces the same contract.
     let flat = Arc::new(flat);
     assert!(flat
-        .search_with_workers_opts(
-            &workload.queries,
+        .search_groups(
+            &[&workload.queries],
             PrecursorWindow::open_default(),
             0.01,
             THREADS,

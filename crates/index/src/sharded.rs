@@ -90,10 +90,10 @@ fn exact_best(
     )
 }
 
-/// Wall-clock spent scoring one shard during a traced batch search.
+/// Wall-clock spent scoring one shard during a batch search.
 ///
-/// Produced by [`ShardedBackend::search_batch_traced`], sorted by shard
-/// position, covering only shards the batch actually visited. `ms` sums
+/// Produced per group by [`ShardedBackend::search`], sorted by shard
+/// position, covering only shards the group actually visited. `ms` sums
 /// every scoring visit the batch paid the shard (across queries and
 /// worker threads — on a parallel batch the per-shard figures can sum
 /// to more than the batch's wall-clock).
@@ -107,7 +107,7 @@ pub struct ShardTiming {
     pub ms: f64,
 }
 
-/// Per-shard accumulators for one traced batch: plain atomics so the
+/// Per-shard accumulators for one batch group: plain atomics so the
 /// scoring closures can record from any worker thread without locks.
 struct ShardClock {
     ns: Vec<AtomicU64>,
@@ -141,7 +141,7 @@ impl ShardClock {
     }
 }
 
-/// Registry handles the backend records into during traced searches.
+/// Registry handles the backend records into on every search.
 struct BackendMetrics {
     score_ms: Arc<Histogram>,
     visits: Arc<Counter>,
@@ -291,9 +291,9 @@ impl ShardedBackend {
 
     /// Register this backend's series with a metrics [`Registry`]:
     /// `hdoms_shard_score_ms` (a histogram of per-shard-visit scoring
-    /// wall-clock) and `hdoms_shard_visits_total`. Both are recorded
-    /// only on the traced path ([`ShardedBackend::search_batch_traced`])
-    /// — the untraced entry points stay timer-free.
+    /// wall-clock) and `hdoms_shard_visits_total`. Every shard-scoring
+    /// visit of [`ShardedBackend::search`] records into both, the same
+    /// visits its [`ShardTiming`]s count.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         self.metrics = Some(BackendMetrics {
             score_ms: registry.histogram(
@@ -302,18 +302,9 @@ impl ShardedBackend {
             ),
             visits: registry.counter(
                 "hdoms_shard_visits_total",
-                "Shard-scoring visits performed by traced batch searches",
+                "Shard-scoring visits performed by batch searches",
             ),
         });
-    }
-
-    /// How many shard visits a batch of candidate lists costs: the sum
-    /// over queries of the number of shard runs each query's (mass-sorted)
-    /// candidate list spans. This is the "shards touched" figure the serve
-    /// layer reports per batch — it is a pure accounting walk and performs
-    /// no scoring.
-    pub fn shards_touched(&self, candidates: &[Vec<u32>]) -> usize {
-        candidates.iter().map(|c| self.shard_runs(c).len()).sum()
     }
 
     /// Partition a mass-sorted candidate list into its shard runs.
@@ -336,32 +327,20 @@ impl ShardedBackend {
         runs
     }
 
-    /// Evaluate one query: encode once, score each shard run, merge.
+    /// Evaluate one query: encode once, optionally narrow the candidate
+    /// list through the prefilter's sketch stage, score each shard run
+    /// (timing it into `clock` and the attached registry series), and
+    /// merge.
     ///
     /// `parallel_shards` (> 1) switches the per-shard scoring onto that
     /// many worker threads (used when the batch itself is too small to
     /// parallelise over queries).
-    fn search_one(
-        &self,
-        binned: &BinnedSpectrum,
-        candidates: &[u32],
-        parallel_shards: usize,
-    ) -> Option<SearchHit> {
-        self.search_one_clocked(binned, candidates, parallel_shards, None, None)
-    }
-
-    /// [`ShardedBackend::search_one`], optionally timing each shard
-    /// run into `clock` (and the attached registry series), and
-    /// optionally narrowing the candidate list through the prefilter's
-    /// sketch stage first. The untimed, unfiltered call compiles down
-    /// to the pre-tracing code path: no clock reads or sketch work
-    /// happen unless the respective option is passed.
     fn search_one_clocked(
         &self,
         binned: &BinnedSpectrum,
         candidates: &[u32],
         parallel_shards: usize,
-        clock: Option<&ShardClock>,
+        clock: &ShardClock,
         prefilter: Option<(&SketchIndex, usize, &PrefilterClock)>,
     ) -> Option<SearchHit> {
         if candidates.is_empty() {
@@ -388,9 +367,6 @@ impl ShardedBackend {
         };
         let runs = self.shard_runs(candidates);
         let score = |run: &[u32]| -> Option<SearchHit> {
-            let Some(clock) = clock else {
-                return self.scorer.best(&query_hv, binned.id, run);
-            };
             let start = Instant::now();
             let hit = self.scorer.best(&query_hv, binned.id, run);
             let ns = start.elapsed().as_nanos() as u64;
@@ -409,175 +385,82 @@ impl ShardedBackend {
         }
     }
 
-    /// [`SimilarityBackend::search_batch`] with an explicit worker
-    /// budget: the batch uses at most `workers` threads, whatever the
-    /// backend was constructed with. This is the entry point the serve
-    /// layer's scheduler drives — a granted batch must not oversubscribe
-    /// the machine beyond its share — and `workers == 1` runs entirely
-    /// inline on the calling thread.
+    /// Score a batch of queries, each against its own mass-sorted
+    /// candidate list — the backend's one batch entry point.
     ///
-    /// Scores are bit-identical across worker budgets (every evaluation
-    /// is deterministic and order-preserving), so a budgeted search
-    /// renders the same PSM table a full-parallelism search renders.
+    /// The batch uses at most `workers` threads, whatever the backend
+    /// was constructed with: the engine passes its configured thread
+    /// count for local runs and the serve scheduler's grant for served
+    /// ones, and `workers == 1` runs entirely inline on the calling
+    /// thread. With at least `workers` queries the batch parallelises
+    /// over queries (each query's shard walk sequential, for locality);
+    /// with fewer it parallelises each query over its shard runs, so
+    /// even a single interactive query uses its whole budget.
+    ///
+    /// When `prefilter` is `Some((sketch, k))`, every query's candidate
+    /// list is narrowed to its top-`k` sketch scorers
+    /// ([`SketchIndex::narrow`]) between the one-time query encode and
+    /// the shard walk. With `k` at or above every window size the
+    /// narrowed lists equal the input lists, so hits and accounting
+    /// match the unfiltered scan exactly.
+    ///
+    /// The batch may merge several independent requests: `group_sizes`
+    /// splits the queries into consecutive groups, and the per-shard
+    /// timings and prefilter stats come back **per group**, exactly as
+    /// if each group had been searched alone (the clocks are indexed by
+    /// group, so the accounting stays precise even when the prefilter
+    /// narrows groups by different amounts; with `prefilter` of `None`
+    /// the stats come back zeroed). Hits come back in input order and
+    /// are bit-identical whatever the grouping and worker budget:
+    /// scoring is per query, deterministic and order-preserving.
     ///
     /// # Panics
     ///
-    /// Panics when `queries` and `candidates` do not pair up.
-    pub fn search_batch_with(
+    /// Panics when `queries` and `candidates` do not pair up, the group
+    /// sizes do not sum to the query count, or the sketch does not
+    /// cover the backend's reference ids.
+    pub fn search(
         &self,
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
         workers: usize,
-    ) -> Vec<Option<SearchHit>> {
+        prefilter: Option<(&SketchIndex, usize)>,
+        group_sizes: &[usize],
+    ) -> (
+        Vec<Option<SearchHit>>,
+        Vec<Vec<ShardTiming>>,
+        Vec<PrefilterStats>,
+    ) {
         let workers = workers.max(1);
         assert_eq!(
             queries.len(),
             candidates.len(),
             "queries and candidate lists must pair up"
         );
-        if queries.len() >= workers {
-            // Enough queries to keep every worker busy: parallelise over
-            // queries, keep each query's shard walk sequential (better
-            // locality, no nested parallelism).
-            let jobs: Vec<usize> = (0..queries.len()).collect();
-            par_map(&jobs, workers, |&i| {
-                self.search_one(&queries[i], &candidates[i], 1)
-            })
-        } else {
-            // Few queries (interactive / tail of a batch): go wide over
-            // each query's shards instead.
-            queries
-                .iter()
-                .zip(candidates)
-                .map(|(q, c)| self.search_one(q, c, workers))
-                .collect()
-        }
-    }
-
-    /// [`ShardedBackend::search_batch_with`], additionally timing every
-    /// shard-scoring visit: returns the identical hits **plus** one
-    /// [`ShardTiming`] per visited shard (sorted by shard position).
-    /// This is the entry point the engine's span tracing drives; the
-    /// timing accumulators are atomics, so the figures are exact
-    /// whichever way the batch was parallelised, and the hits are
-    /// byte-identical to the untraced path (timing wraps the scoring
-    /// calls, it never reorders or alters them).
-    ///
-    /// `workers` of `None` uses the backend's configured parallelism
-    /// (the unscheduled paths); `Some(n)` caps the batch at `n` worker
-    /// threads (the serve scheduler's grants).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `queries` and `candidates` do not pair up.
-    pub fn search_batch_traced(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: Option<usize>,
-    ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>) {
-        let (hits, timings, _) = self.search_batch_prefiltered(queries, candidates, workers, None);
-        (hits, timings)
-    }
-
-    /// [`ShardedBackend::search_batch_traced`] with the two-stage
-    /// cascade: when `prefilter` is `Some((sketch, k))`, every query's
-    /// candidate list is narrowed to its top-`k` sketch scorers
-    /// ([`SketchIndex::narrow`]) between the one-time query encode and
-    /// the shard walk, and the returned [`PrefilterStats`] account the
-    /// pre/post candidate counts plus the sketch stage's summed
-    /// wall-clock.
-    ///
-    /// With `prefilter` of `None` the scan, hits and timings are
-    /// byte-identical to [`ShardedBackend::search_batch_traced`] and the
-    /// stats come back zeroed (the caller reports the unfiltered
-    /// candidate total for both stage counts). With `k` at or above
-    /// every window size the narrowed lists equal the input lists, so
-    /// hits, timings *and* per-stage counts match the unfiltered scan
-    /// exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `queries` and `candidates` do not pair up, or the
-    /// sketch does not cover the backend's reference ids.
-    pub fn search_batch_prefiltered(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: Option<usize>,
-        prefilter: Option<(&SketchIndex, usize)>,
-    ) -> (Vec<Option<SearchHit>>, Vec<ShardTiming>, PrefilterStats) {
-        let group_of = vec![0u32; queries.len()];
-        let (hits, mut timings, mut stats) =
-            self.search_batch_grouped(queries, candidates, workers, prefilter, &group_of, 1);
-        (
-            hits,
-            timings.pop().expect("one group was requested"),
-            stats.pop().expect("one group was requested"),
-        )
-    }
-
-    /// [`ShardedBackend::search_batch_prefiltered`] over a **merged**
-    /// batch of several request groups: query `i` belongs to group
-    /// `group_of[i]` (`0..group_count`), and the per-shard timings and
-    /// prefilter stats come back **per group**, exactly as if each
-    /// group had been searched alone — the clocks are indexed by group,
-    /// so the accounting is precise even when the prefilter narrows
-    /// different groups by different amounts.
-    ///
-    /// The hits come back in input order. Scoring is per-query and
-    /// independent of batch composition, so they are bit-identical to
-    /// searching each group separately; only the accounting needs the
-    /// group map. This is the cross-request coalescing seam: the serve
-    /// layer merges concurrent interactive requests into one batch here
-    /// and splits receipts back out per request.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `queries`, `candidates` and `group_of` do not pair
-    /// up, a group id is at or beyond `group_count`, or the sketch does
-    /// not cover the backend's reference ids.
-    pub fn search_batch_grouped(
-        &self,
-        queries: &[BinnedSpectrum],
-        candidates: &[Vec<u32>],
-        workers: Option<usize>,
-        prefilter: Option<(&SketchIndex, usize)>,
-        group_of: &[u32],
-        group_count: usize,
-    ) -> (
-        Vec<Option<SearchHit>>,
-        Vec<Vec<ShardTiming>>,
-        Vec<PrefilterStats>,
-    ) {
-        let workers = workers.unwrap_or(self.threads).max(1);
         assert_eq!(
+            group_sizes.iter().sum::<usize>(),
             queries.len(),
-            candidates.len(),
-            "queries and candidate lists must pair up"
+            "group sizes must cover the batch"
         );
-        assert_eq!(
-            queries.len(),
-            group_of.len(),
-            "queries and group ids must pair up"
-        );
-        assert!(
-            group_of.iter().all(|&g| (g as usize) < group_count),
-            "group id out of range"
-        );
-        let clocks: Vec<ShardClock> = (0..group_count)
+        let group_of: Vec<usize> = group_sizes
+            .iter()
+            .enumerate()
+            .flat_map(|(g, &len)| std::iter::repeat_n(g, len))
+            .collect();
+        let clocks: Vec<ShardClock> = group_sizes
+            .iter()
             .map(|_| ShardClock::new(self.shard_count))
             .collect();
         let pclocks: Vec<PrefilterClock> =
-            (0..group_count).map(|_| PrefilterClock::new()).collect();
+            group_sizes.iter().map(|_| PrefilterClock::new()).collect();
         let search = |i: usize, parallel_shards: usize| {
-            let group = group_of[i] as usize;
+            let group = group_of[i];
             let narrowing = prefilter.map(|(sketch, k)| (sketch, k, &pclocks[group]));
             self.search_one_clocked(
                 &queries[i],
                 &candidates[i],
                 parallel_shards,
-                Some(&clocks[group]),
+                &clocks[group],
                 narrowing,
             )
         };
@@ -609,6 +492,7 @@ impl SimilarityBackend for ShardedBackend {
         queries: &[BinnedSpectrum],
         candidates: &[Vec<u32>],
     ) -> Vec<Option<SearchHit>> {
-        self.search_batch_with(queries, candidates, self.threads)
+        self.search(queries, candidates, self.threads, None, &[queries.len()])
+            .0
     }
 }

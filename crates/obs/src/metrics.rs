@@ -10,9 +10,13 @@
 //!    at registration and snapshot time.
 //! 2. **Snapshots are torn-read-free.** A histogram's observation
 //!    count is *derived* from its bucket counts (there is no separate
-//!    count cell that could disagree with the buckets), so any
-//!    snapshot — even one taken mid-storm — is internally consistent
-//!    and monotone with respect to earlier snapshots.
+//!    count cell that could disagree with the buckets), and a sample's
+//!    time is added to the sum before its bucket is bumped (`Release`),
+//!    while a snapshot loads the buckets (`Acquire`) before the sum. So
+//!    any snapshot — even one taken mid-storm — includes the time of
+//!    every observation it counts (it may also include time of a sample
+//!    whose bucket it has not seen yet), and is monotone with respect
+//!    to earlier snapshots.
 //! 3. **Millisecond reconciliation.** Histogram sums are accumulated
 //!    in integer **nanoseconds**, so the sum read back from a
 //!    histogram agrees with the per-batch figures it was fed to well
@@ -138,12 +142,11 @@ impl Histogram {
         } else {
             0
         };
-        // Bucket first, then sum: a concurrent snapshot that sees the
-        // new sum without the new bucket would report a mean above the
-        // true one; this order can only under-report the (monotone)
-        // sum, never the count a bucket already shows.
-        self.buckets[bucket_of(ms)].fetch_add(1, Ordering::Relaxed);
+        // Sum first, then the bucket with `Release`: a snapshot that
+        // acquires the bucket count is guaranteed to see this sample's
+        // time in the sum, so a counted observation always has its time.
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.buckets[bucket_of(ms)].fetch_add(1, Ordering::Release);
     }
 
     /// Record an elapsed [`std::time::Duration`].
@@ -153,10 +156,11 @@ impl Histogram {
 
     /// A consistent point-in-time copy of the bucket counts and sum.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // Sum before buckets (the reverse of the record order), so the
-        // snapshot never shows a sum that outruns its counts.
+        // Buckets (`Acquire`) before the sum, the reverse of the record
+        // order: every observation the counts show has its time in the
+        // sum read after them.
+        let buckets = std::array::from_fn(|k| self.buckets[k].load(Ordering::Acquire));
         let sum_ns = self.sum_ns.load(Ordering::Relaxed);
-        let buckets = std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed));
         HistogramSnapshot { buckets, sum_ns }
     }
 }
@@ -499,7 +503,7 @@ mod tests {
             let h = Arc::clone(&h);
             std::thread::spawn(move || {
                 for i in 0..20_000u32 {
-                    h.record_ms(f64::from(i % 17) * 0.25);
+                    h.record_ms(f64::from(i % 17 + 1) * 0.25);
                 }
             })
         };
@@ -508,6 +512,10 @@ mod tests {
             let snap = h.snapshot();
             assert!(snap.count() >= last.count(), "count went backwards");
             assert!(snap.sum_ns >= last.sum_ns, "sum went backwards");
+            assert!(
+                snap.count() == 0 || snap.sum_ns > 0,
+                "observations without recorded time"
+            );
             last = snap;
         }
         writer.join().unwrap();

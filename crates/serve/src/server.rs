@@ -784,64 +784,8 @@ impl Server {
             return self.query_coalesced(client, request, &engine, spectra);
         }
 
-        let permit = self.scheduler.admit_as(client, request.tier)?;
-        let start = Instant::now();
-        let (outcome, receipt) = engine.search_with_workers_opts(
-            &spectra,
-            request.window.window(),
-            request.fdr,
-            permit.workers(),
-            request.prefilter,
-        )?;
-        let latency_ms = start.elapsed().as_secs_f64() * 1e3;
-        let (wait_ms, queued, workers) =
-            (permit.wait_ms(), permit.queued_behind(), permit.workers());
-        drop(permit);
-        self.residency_touch(&request.index, &receipt.shard_timings);
-
-        self.metrics.batches.inc();
-        self.metrics.queries.add(outcome.total_queries as u64);
-        self.metrics.psms.add(outcome.psms.len() as u64);
-        self.metrics
-            .identifications
-            .add(outcome.identifications() as u64);
-        self.metrics.batch_latency_ms.record_ms(latency_ms);
-        self.logger
-            .debug("query.batch")
-            .str("index", &request.index)
-            .u64("client", client)
-            .u64("queries", outcome.total_queries as u64)
-            .u64("identifications", outcome.identifications() as u64)
-            .f64("latency_ms", latency_ms)
-            .f64("wait_ms", wait_ms)
-            .emit();
-
-        let rows = table_rows(engine.peptides(), &outcome);
-        Ok(QueryResult {
-            index: request.index.clone(),
-            stats: BatchStats {
-                latency_ms,
-                wait_ms,
-                queued,
-                workers,
-                queries: outcome.total_queries,
-                rejected_queries: outcome.rejected_queries,
-                psms: outcome.psms.len(),
-                identifications: outcome.identifications(),
-                threshold_score: outcome.threshold_score,
-                shards_touched: receipt.shards_touched,
-                candidates_scored: receipt.candidates_scored,
-                candidates_pre: receipt.candidates_pre,
-                candidates_post: receipt.candidates_post,
-                sketch_ms: receipt.sketch_ms,
-                encode_ms: receipt.stages.encode_ms,
-                candidates_ms: receipt.stages.candidates_ms,
-                score_ms: receipt.stages.score_ms,
-                finalize_ms: receipt.stages.finalize_ms,
-                backend: outcome.backend_name.clone(),
-            },
-            rows,
-        })
+        self.execute_query(client, request, &engine, std::slice::from_ref(&spectra))
+            .map(|mut results| results.pop().expect("one member was executed"))
     }
 
     /// Divert an interactive query through the coalescer: join (or
@@ -916,7 +860,11 @@ impl Server {
         // From here on, every member gets an answer: the completion
         // guard backfills error results and notifies on any exit.
         let completion = GroupCompletion { group: &group };
-        let outcome = self.execute_coalesced(client, request, engine, &members);
+        let outcome = self.execute_query(client, request, engine, &members);
+        if outcome.is_ok() {
+            self.metrics.coalesced_batches.inc();
+            self.metrics.coalesced_requests.add(members.len() as u64);
+        }
         let mine = {
             let mut state = group.state.lock().expect("coalesce group lock");
             match outcome {
@@ -939,17 +887,19 @@ impl Server {
         mine
     }
 
-    /// Admit once, run the merged groups through one engine call, and
-    /// build each member's [`QueryResult`] from its own per-group
-    /// outcome and receipt.
-    fn execute_coalesced(
+    /// Admit once, run the members (one request, or a coalesced group
+    /// of them) through one [`Engine::search_groups`] call, and build
+    /// each member's [`QueryResult`] from its own per-group outcome and
+    /// receipt — the one place query results are built and the server's
+    /// query series recorded.
+    fn execute_query(
         &self,
         client: u64,
         request: &QueryRequest,
         engine: &Arc<Engine>,
         members: &[Vec<Spectrum>],
     ) -> Result<Vec<QueryResult>, ServeError> {
-        let permit = self.scheduler.admit_as(client, Tier::Interactive)?;
+        let permit = self.scheduler.admit_as(client, request.tier)?;
         let groups: Vec<&[Spectrum]> = members.iter().map(Vec::as_slice).collect();
         let start = Instant::now();
         let outcomes = engine.search_groups(
@@ -964,15 +914,14 @@ impl Server {
             (permit.wait_ms(), permit.queued_behind(), permit.workers());
         drop(permit);
 
-        self.metrics.coalesced_batches.inc();
-        self.metrics.coalesced_requests.add(members.len() as u64);
         let mut results = Vec::with_capacity(outcomes.len());
         for (outcome, receipt) in outcomes {
             self.residency_touch(&request.index, &receipt.shard_timings);
             // Per-member server metrics: each member is one logical
             // batch, keeping counters comparable with and without
             // coalescing. The histogram records each member's
-            // attributed (per-group) execution cost.
+            // attributed (per-group) execution cost — the whole
+            // execution for a lone request.
             self.metrics.batches.inc();
             self.metrics.queries.add(outcome.total_queries as u64);
             self.metrics.psms.add(outcome.psms.len() as u64);
@@ -980,12 +929,22 @@ impl Server {
                 .identifications
                 .add(outcome.identifications() as u64);
             self.metrics.batch_latency_ms.record_ms(receipt.latency_ms);
+            self.logger
+                .debug("query.batch")
+                .str("index", &request.index)
+                .u64("client", client)
+                .u64("members", members.len() as u64)
+                .u64("queries", outcome.total_queries as u64)
+                .u64("identifications", outcome.identifications() as u64)
+                .f64("latency_ms", latency_ms)
+                .f64("wait_ms", wait_ms)
+                .emit();
             let rows = table_rows(engine.peptides(), &outcome);
             results.push(QueryResult {
                 index: request.index.clone(),
                 stats: BatchStats {
-                    // Every member waited for the whole merged batch:
-                    // its experienced latency is the merged wall-clock,
+                    // Every member waited for the whole execution: its
+                    // experienced latency is the execution's wall-clock,
                     // and the one admission's wait/queue/workers apply
                     // to all members alike.
                     latency_ms,
@@ -1011,14 +970,6 @@ impl Server {
                 rows,
             });
         }
-        self.logger
-            .debug("query.coalesced")
-            .str("index", &request.index)
-            .u64("client", client)
-            .u64("members", members.len() as u64)
-            .f64("latency_ms", latency_ms)
-            .f64("wait_ms", wait_ms)
-            .emit();
         Ok(results)
     }
 
@@ -1184,7 +1135,6 @@ impl Server {
         let wait_ms = open.wait_ms;
         let candidates_scored = open.session.candidates_scored();
         let candidates_pre = open.session.candidates_pre();
-        let candidates_post = open.session.candidates_post();
         let sketch_ms = open.session.sketch_ms();
         let shards_touched = open.session.shards_touched();
         let stages = open.session.stage_timings();
@@ -1221,7 +1171,7 @@ impl Server {
                 shards_touched,
                 candidates_scored,
                 candidates_pre,
-                candidates_post,
+                candidates_post: candidates_scored,
                 sketch_ms,
                 encode_ms: stages.encode_ms,
                 candidates_ms: stages.candidates_ms,
