@@ -1807,3 +1807,811 @@ mod tests {
         assert!(zero_charge.to_spectrum().is_err());
     }
 }
+
+/// The wire contract, message by message: every field's policy
+/// (required, defaulted, omitted at default), its type error, integer
+/// range checks, and encode → decode → encode identity over arbitrary
+/// values. Written against the public codec only, so it pins the wire
+/// whatever implements it.
+#[cfg(test)]
+mod contract {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// What a wire field holds, which fixes the wrong-typed value the
+    /// table feeds it and the error that value must draw.
+    #[derive(Clone, Copy)]
+    enum Kind {
+        Num,
+        Uint,
+        /// An integer checked against a narrower type's MAX.
+        UintMax(u64),
+        Str,
+        Bool,
+        Arr,
+        /// A string-named enum (window, tier, prefilter, error code).
+        Named,
+        /// A name → value map (the metrics series).
+        Map,
+        /// A nested object; a non-object reads as missing its first field.
+        Obj(&'static str),
+    }
+
+    /// How a field may be left off the wire.
+    enum Presence<T> {
+        Required,
+        /// Omitting the field decodes to the sample with this reset.
+        Optional(fn(&mut T)),
+        /// An array element or a metrics map entry: nothing to omit.
+        Element,
+    }
+
+    struct Field<T> {
+        /// Dotted path from the message root; numeric segments index arrays.
+        path: &'static str,
+        kind: Kind,
+        presence: Presence<T>,
+        /// The error label when it differs from the field's key.
+        label: Option<&'static str>,
+    }
+
+    fn req<T>(path: &'static str, kind: Kind) -> Field<T> {
+        Field {
+            path,
+            kind,
+            presence: Presence::Required,
+            label: None,
+        }
+    }
+
+    fn opt<T>(path: &'static str, kind: Kind, reset: fn(&mut T)) -> Field<T> {
+        Field {
+            path,
+            kind,
+            presence: Presence::Optional(reset),
+            label: None,
+        }
+    }
+
+    fn element<T>(path: &'static str, kind: Kind, label: &'static str) -> Field<T> {
+        Field {
+            path,
+            kind,
+            presence: Presence::Element,
+            label: Some(label),
+        }
+    }
+
+    fn labelled<T>(path: &'static str, kind: Kind, label: &'static str) -> Field<T> {
+        Field {
+            label: Some(label),
+            ..req(path, kind)
+        }
+    }
+
+    /// The value at `path` inside `root`, mutably.
+    fn at<'a>(root: &'a mut Json, path: &str) -> &'a mut Json {
+        path.split('.').fold(root, |node, segment| match node {
+            Json::Obj(pairs) => {
+                &mut pairs
+                    .iter_mut()
+                    .find(|(k, _)| k == segment)
+                    .unwrap_or_else(|| panic!("no key {segment:?}"))
+                    .1
+            }
+            Json::Arr(items) => &mut items[segment.parse::<usize>().expect("array index")],
+            _ => panic!("path {path:?} runs through a scalar"),
+        })
+    }
+
+    /// Remove the field at `path` from its parent object.
+    fn drop_field(root: &mut Json, path: &str) {
+        let (parent, key) = match path.rsplit_once('.') {
+            Some((parent, key)) => (at(root, parent), key),
+            None => (root, path),
+        };
+        let Json::Obj(pairs) = parent else {
+            panic!("parent of {path:?} is not an object");
+        };
+        pairs.retain(|(k, _)| k != key);
+    }
+
+    /// Check every table line of one message kind against its codec.
+    fn check<T: PartialEq + std::fmt::Debug + Clone>(
+        sample: &T,
+        encode: fn(&T) -> String,
+        decode: fn(&str) -> Result<T, String>,
+        fields: &[Field<T>],
+    ) {
+        let line = encode(sample);
+        let root = Json::parse(&line).unwrap();
+        assert_eq!(decode(&line).as_ref(), Ok(sample), "sample {line}");
+        for field in fields {
+            let key = field.path.rsplit('.').next().unwrap();
+            let label = field.label.unwrap_or(key);
+            let decode_with = |value: Option<&str>| {
+                let mut doc = root.clone();
+                match value {
+                    Some(text) => *at(&mut doc, field.path) = Json::parse(text).unwrap(),
+                    None => drop_field(&mut doc, field.path),
+                }
+                decode(&doc.encode())
+            };
+            match &field.presence {
+                Presence::Required => assert_eq!(
+                    decode_with(None),
+                    Err(format!("missing field {key:?}")),
+                    "dropping {}",
+                    field.path
+                ),
+                Presence::Optional(reset) => {
+                    let mut expected = sample.clone();
+                    reset(&mut expected);
+                    assert_eq!(decode_with(None), Ok(expected), "omitting {}", field.path);
+                }
+                Presence::Element => {}
+            }
+            let (wrong, error) = match field.kind {
+                Kind::Num => ("\"7\"", format!("{label} must be a number")),
+                Kind::Uint | Kind::UintMax(_) => {
+                    ("-1", format!("{label} must be a non-negative integer"))
+                }
+                Kind::Str | Kind::Named => ("7", format!("{label} must be a string")),
+                Kind::Bool => ("1", format!("{label} must be a boolean")),
+                Kind::Arr => ("{}", format!("{label} must be an array")),
+                Kind::Map => ("[]", format!("{label} must be an object")),
+                Kind::Obj(first) => ("7", format!("missing field {first:?}")),
+            };
+            assert_eq!(
+                decode_with(Some(wrong)),
+                Err(error),
+                "{} = {wrong}",
+                field.path
+            );
+            if let Kind::UintMax(max) = field.kind {
+                assert!(
+                    decode_with(Some(&max.to_string())).is_ok(),
+                    "{} = MAX",
+                    field.path
+                );
+                assert_eq!(
+                    decode_with(Some(&(max + 1).to_string())),
+                    Err(format!("{label} {} out of range (max {max})", max + 1)),
+                    "{} = MAX + 1",
+                    field.path
+                );
+            }
+        }
+    }
+
+    const U8: Kind = Kind::UintMax(u8::MAX as u64);
+    const U32: Kind = Kind::UintMax(u32::MAX as u64);
+
+    fn spectrum() -> QuerySpectrum {
+        QuerySpectrum {
+            id: 9,
+            precursor_mz: 512.25,
+            precursor_charge: 3,
+            peaks: vec![(101.5, 0.75), (202.0, 1.0)],
+        }
+    }
+
+    fn spectrum_fields<T>() -> Vec<Field<T>> {
+        vec![
+            req("spectra", Kind::Arr),
+            req("spectra.0.id", U32),
+            req("spectra.0.precursor_mz", Kind::Num),
+            req("spectra.0.precursor_charge", U8),
+            labelled("spectra.0.peaks", Kind::Arr, "spectrum peaks"),
+            element("spectra.0.peaks.0.0", Kind::Num, "peak mz"),
+            element("spectra.0.peaks.0.1", Kind::Num, "peak intensity"),
+        ]
+    }
+
+    fn request_roundtrip(r: &Request) -> String {
+        r.encode()
+    }
+
+    fn response_roundtrip(r: &Response) -> String {
+        r.encode()
+    }
+
+    fn check_request(sample: Request, fields: Vec<Field<Request>>) {
+        check(&sample, request_roundtrip, Request::decode, &fields);
+    }
+
+    fn check_response(sample: Response, fields: Vec<Field<Response>>) {
+        check(&sample, response_roundtrip, Response::decode, &fields);
+    }
+
+    #[test]
+    fn every_request_field_honours_its_policy() {
+        for bare in [
+            Request::Ping,
+            Request::ListIndexes,
+            Request::ServerStats,
+            Request::ServerMetrics,
+        ] {
+            check_request(bare, Vec::new());
+        }
+        let sample = Request::Query(QueryRequest {
+            index: "iprg".to_owned(),
+            window: WindowKind::Standard,
+            fdr: 0.05,
+            tier: Tier::Interactive,
+            prefilter: Some(PrefilterConfig::TopK(32)),
+            spectra: vec![spectrum()],
+        });
+        fn query(r: &mut Request) -> &mut QueryRequest {
+            match r {
+                Request::Query(q) => q,
+                _ => unreachable!(),
+            }
+        }
+        let mut fields = vec![
+            req("index", Kind::Str),
+            opt("window", Kind::Named, |r| {
+                query(r).window = WindowKind::Open
+            }),
+            opt("fdr", Kind::Num, |r| query(r).fdr = DEFAULT_FDR),
+            opt("tier", Kind::Named, |r| query(r).tier = Tier::Batch),
+            opt("prefilter", Kind::Named, |r| query(r).prefilter = None),
+        ];
+        fields.extend(spectrum_fields());
+        check_request(sample, fields);
+
+        check_request(
+            Request::SessionOpen {
+                index: "iprg".to_owned(),
+                window: WindowKind::Standard,
+                tier: Tier::Interactive,
+                prefilter: Some(PrefilterConfig::Off),
+            },
+            vec![
+                req("index", Kind::Str),
+                opt("window", Kind::Named, |r| {
+                    if let Request::SessionOpen { window, .. } = r {
+                        *window = WindowKind::Open;
+                    }
+                }),
+                opt("tier", Kind::Named, |r| {
+                    if let Request::SessionOpen { tier, .. } = r {
+                        *tier = Tier::Batch;
+                    }
+                }),
+                opt("prefilter", Kind::Named, |r| {
+                    if let Request::SessionOpen { prefilter, .. } = r {
+                        *prefilter = None;
+                    }
+                }),
+            ],
+        );
+        let mut fields = vec![req("session", Kind::Uint)];
+        fields.extend(spectrum_fields());
+        check_request(
+            Request::SessionSubmit {
+                session: 4,
+                spectra: vec![spectrum()],
+            },
+            fields,
+        );
+        check_request(
+            Request::SessionFinalize {
+                session: 4,
+                fdr: 0.1,
+            },
+            vec![
+                req("session", Kind::Uint),
+                opt("fdr", Kind::Num, |r| {
+                    if let Request::SessionFinalize { fdr, .. } = r {
+                        *fdr = DEFAULT_FDR;
+                    }
+                }),
+            ],
+        );
+        check_request(
+            Request::SessionClose { session: 4 },
+            vec![req("session", Kind::Uint)],
+        );
+        check_request(
+            Request::IndexLoad {
+                name: "hek".to_owned(),
+                path: "/data/hek.hdx".to_owned(),
+            },
+            vec![req("name", Kind::Str), req("path", Kind::Str)],
+        );
+        check_request(
+            Request::IndexUnload {
+                name: "hek".to_owned(),
+            },
+            vec![req("name", Kind::Str)],
+        );
+    }
+
+    #[test]
+    fn every_response_field_honours_its_policy() {
+        check_response(Response::Pong { protocol: 5 }, vec![req("protocol", U32)]);
+        check_response(
+            Response::Error {
+                code: ErrorCode::Busy,
+                message: "busy".to_owned(),
+            },
+            vec![
+                opt("code", Kind::Named, |r| {
+                    if let Response::Error { code, .. } = r {
+                        *code = ErrorCode::General;
+                    }
+                }),
+                req("message", Kind::Str),
+            ],
+        );
+        let summary = IndexSummary {
+            name: "iprg".to_owned(),
+            backend: "exact".to_owned(),
+            dim: 8192,
+            entries: 1000,
+            shards: 4,
+        };
+        check_response(
+            Response::Indexes(vec![summary.clone()]),
+            vec![
+                req("indexes", Kind::Arr),
+                req("indexes.0.name", Kind::Str),
+                req("indexes.0.backend", Kind::Str),
+                req("indexes.0.dim", Kind::Uint),
+                req("indexes.0.entries", Kind::Uint),
+                req("indexes.0.shards", Kind::Uint),
+            ],
+        );
+        check_response(
+            Response::Loaded(summary),
+            vec![
+                req("index", Kind::Obj("name")),
+                req("index.name", Kind::Str),
+                req("index.backend", Kind::Str),
+                req("index.dim", Kind::Uint),
+                req("index.entries", Kind::Uint),
+                req("index.shards", Kind::Uint),
+            ],
+        );
+        let mut fields = vec![
+            req("index", Kind::Str),
+            req("psms", Kind::Arr),
+            req("psms.0.query_id", U32),
+            req("psms.0.reference_id", U32),
+            req("psms.0.peptide", Kind::Str),
+            req("psms.0.score", Kind::Num),
+            req("psms.0.is_decoy", Kind::Bool),
+            req("psms.0.precursor_delta", Kind::Num),
+            req("psms.0.accepted", Kind::Bool),
+            req("stats", Kind::Obj("latency_ms")),
+        ];
+        for (key, kind) in [
+            ("stats.latency_ms", Kind::Num),
+            ("stats.wait_ms", Kind::Num),
+            ("stats.queued", Kind::Uint),
+            ("stats.workers", Kind::Uint),
+            ("stats.queries", Kind::Uint),
+            ("stats.rejected_queries", Kind::Uint),
+            ("stats.psms", Kind::Uint),
+            ("stats.identifications", Kind::Uint),
+            ("stats.threshold_score", Kind::Num),
+            ("stats.shards_touched", Kind::Uint),
+            ("stats.candidates_scored", Kind::Uint),
+            ("stats.candidates_pre", Kind::Uint),
+            ("stats.candidates_post", Kind::Uint),
+            ("stats.sketch_ms", Kind::Num),
+            ("stats.encode_ms", Kind::Num),
+            ("stats.candidates_ms", Kind::Num),
+            ("stats.score_ms", Kind::Num),
+            ("stats.finalize_ms", Kind::Num),
+            ("stats.backend", Kind::Str),
+        ] {
+            fields.push(req(key, kind));
+        }
+        check_response(
+            Response::Result(QueryResult {
+                index: "iprg".to_owned(),
+                rows: vec![PsmTableRow {
+                    psm: Psm {
+                        query_id: 9,
+                        reference_id: 41,
+                        score: 0.5,
+                        is_decoy: true,
+                        precursor_delta: -1.25,
+                    },
+                    peptide: "PEPTIDEK".to_owned(),
+                    accepted: false,
+                }],
+                stats: arbitrary_batch_stats(&mut proptest::__new_case_rng("stats", 0)),
+            }),
+            fields,
+        );
+        check_response(
+            Response::SessionOpened {
+                session: 3,
+                index: "iprg".to_owned(),
+            },
+            vec![req("session", Kind::Uint), req("index", Kind::Str)],
+        );
+        check_response(
+            Response::SessionClosed { session: 3 },
+            vec![req("session", Kind::Uint)],
+        );
+        check_response(
+            Response::Unloaded {
+                name: "hek".to_owned(),
+            },
+            vec![req("name", Kind::Str)],
+        );
+        let mut receipt = arbitrary_receipt(&mut proptest::__new_case_rng("receipt", 0));
+        receipt.shard_timings = vec![ShardTiming {
+            shard: 2,
+            visits: 7,
+            ms: 0.5,
+        }];
+        let mut fields: Vec<Field<Response>> = [
+            ("session", Kind::Uint),
+            ("batch", Kind::Uint),
+            ("queries", Kind::Uint),
+            ("rejected_queries", Kind::Uint),
+            ("psms", Kind::Uint),
+            ("total_psms", Kind::Uint),
+            ("candidates_scored", Kind::Uint),
+            ("candidates_pre", Kind::Uint),
+            ("candidates_post", Kind::Uint),
+            ("sketch_ms", Kind::Num),
+            ("shards_touched", Kind::Uint),
+            ("workers", Kind::Uint),
+            ("latency_ms", Kind::Num),
+            ("wait_ms", Kind::Num),
+            ("encode_ms", Kind::Num),
+            ("candidates_ms", Kind::Num),
+            ("score_ms", Kind::Num),
+            ("shard_timings", Kind::Arr),
+            ("shard_timings.0.shard", U32),
+            ("shard_timings.0.visits", Kind::Uint),
+            ("shard_timings.0.ms", Kind::Num),
+        ]
+        .into_iter()
+        .map(|(key, kind)| req(key, kind))
+        .collect();
+        check_response(Response::Receipt(receipt), fields);
+
+        fields = [
+            ("workers", Kind::Uint),
+            ("queue_depth", Kind::Uint),
+            ("deadline_ms", Kind::Uint),
+            ("interactive_weight", Kind::Uint),
+            ("interactive_queue_depth", Kind::Uint),
+            ("coalesce_window_ms", Kind::Uint),
+            ("memory_budget", Kind::Uint),
+            ("queued", Kind::Uint),
+            ("in_flight", Kind::Uint),
+            ("workers_busy", Kind::Uint),
+            ("peak_workers_busy", Kind::Uint),
+            ("admitted", Kind::Uint),
+            ("completed", Kind::Uint),
+            ("rejected_busy", Kind::Uint),
+            ("shed_deadline", Kind::Uint),
+            ("total_wait_ms", Kind::Num),
+            ("interactive", Kind::Obj("queued")),
+            ("batch", Kind::Obj("queued")),
+            ("coalesced_batches", Kind::Uint),
+            ("coalesced_requests", Kind::Uint),
+            ("prefilter_candidates_pre", Kind::Uint),
+            ("prefilter_candidates_post", Kind::Uint),
+            ("prefilter_sketch_ms", Kind::Num),
+            ("resident_bytes", Kind::Uint),
+            ("resident_shards", Kind::Uint),
+            ("evictions", Kind::Uint),
+            ("reloads", Kind::Uint),
+            ("open_sessions", Kind::Uint),
+            ("resident_indexes", Kind::Uint),
+            ("interactive.queued", Kind::Uint),
+            ("interactive.in_flight", Kind::Uint),
+            ("interactive.admitted", Kind::Uint),
+            ("interactive.completed", Kind::Uint),
+            ("interactive.rejected_busy", Kind::Uint),
+            ("interactive.shed_deadline", Kind::Uint),
+            ("interactive.total_wait_ms", Kind::Num),
+            ("batch.queued", Kind::Uint),
+            ("batch.total_wait_ms", Kind::Num),
+        ]
+        .into_iter()
+        .map(|(key, kind)| req(key, kind))
+        .collect();
+        check_response(
+            Response::Stats(arbitrary_server_stats(&mut proptest::__new_case_rng(
+                "stats", 0,
+            ))),
+            fields,
+        );
+
+        check_response(
+            Response::Metrics(MetricsReport {
+                counters: vec![("hdoms_queries_total".to_owned(), 12)],
+                gauges: vec![("hdoms_open_sessions".to_owned(), -2)],
+                histograms: vec![(
+                    "hdoms_batch_latency_ms".to_owned(),
+                    HistogramSummary {
+                        count: 3,
+                        sum_ms: 4.5,
+                        p50_ms: 1.0,
+                        p90_ms: 2.0,
+                        p99_ms: 4.0,
+                    },
+                )],
+            }),
+            vec![
+                req("counters", Kind::Map),
+                req("gauges", Kind::Map),
+                req("histograms", Kind::Map),
+                element("counters.hdoms_queries_total", Kind::Uint, "counter value"),
+                element("gauges.hdoms_open_sessions", Kind::Num, "gauge value"),
+                element(
+                    "histograms.hdoms_batch_latency_ms",
+                    Kind::Obj("count"),
+                    "histogram",
+                ),
+                req("histograms.hdoms_batch_latency_ms.count", Kind::Uint),
+                req("histograms.hdoms_batch_latency_ms.sum_ms", Kind::Num),
+                req("histograms.hdoms_batch_latency_ms.p50_ms", Kind::Num),
+                req("histograms.hdoms_batch_latency_ms.p90_ms", Kind::Num),
+                req("histograms.hdoms_batch_latency_ms.p99_ms", Kind::Num),
+            ],
+        );
+    }
+
+    #[test]
+    fn type_tags_and_non_integral_gauges_are_described() {
+        assert_eq!(
+            Request::decode("{}"),
+            Err("missing field \"type\"".to_owned())
+        );
+        assert_eq!(
+            Request::decode(r#"{"type":7}"#),
+            Err("request type must be a string".to_owned())
+        );
+        assert_eq!(
+            Request::decode(r#"{"type":"pong"}"#),
+            Err("unknown request type \"pong\"".to_owned())
+        );
+        assert_eq!(
+            Response::decode(r#"{"type":7}"#),
+            Err("response type must be a string".to_owned())
+        );
+        assert_eq!(
+            Response::decode(r#"{"type":"ping"}"#),
+            Err("unknown response type \"ping\"".to_owned())
+        );
+        assert_eq!(
+            Response::decode(
+                r#"{"type":"metrics","counters":{},"gauges":{"g":0.5},"histograms":{}}"#
+            ),
+            Err("gauge value must be an integer".to_owned())
+        );
+        assert_eq!(
+            Request::decode(r#"{"type":"query","index":"a","window":"wide","spectra":[]}"#),
+            Err("unknown window \"wide\" (open|standard)".to_owned())
+        );
+        assert_eq!(
+            Response::decode(r#"{"type":"error","code":"teapot","message":"x"}"#),
+            Err("unknown error code \"teapot\" (busy|deadline)".to_owned())
+        );
+        assert_eq!(
+            Request::decode(
+                r#"{"type":"query","index":"a","spectra":[{"id":1,"precursor_mz":2,"precursor_charge":2,"peaks":[[1]]}]}"#
+            ),
+            Err("each peak must be a [mz, intensity] pair".to_owned())
+        );
+    }
+
+    /// Integers JSON numbers carry exactly (≤ 2⁵³).
+    const EXACT: u64 = 1 << 53;
+
+    fn uint(rng: &mut TestRng) -> u64 {
+        (0..=EXACT).generate(rng)
+    }
+
+    fn size(rng: &mut TestRng) -> usize {
+        uint(rng) as usize
+    }
+
+    fn float(rng: &mut TestRng) -> f64 {
+        any::<f64>().generate(rng)
+    }
+
+    /// Names that exercise every escape the encoder knows.
+    fn name(rng: &mut TestRng) -> String {
+        "[abxyz_.\"\\é\n\t]{0,8}".generate(rng)
+    }
+
+    fn arbitrary_spectrum(rng: &mut TestRng) -> QuerySpectrum {
+        QuerySpectrum {
+            id: any::<u32>().generate(rng),
+            precursor_mz: float(rng),
+            precursor_charge: any::<u8>().generate(rng),
+            peaks: collection::vec((any::<f64>(), any::<f64>()), 0..6).generate(rng),
+        }
+    }
+
+    fn arbitrary_batch_stats(rng: &mut TestRng) -> BatchStats {
+        BatchStats {
+            latency_ms: float(rng),
+            wait_ms: float(rng),
+            queued: size(rng),
+            workers: size(rng),
+            queries: size(rng),
+            rejected_queries: size(rng),
+            psms: size(rng),
+            identifications: size(rng),
+            threshold_score: float(rng),
+            shards_touched: size(rng),
+            candidates_scored: size(rng),
+            candidates_pre: size(rng),
+            candidates_post: size(rng),
+            sketch_ms: float(rng),
+            encode_ms: float(rng),
+            candidates_ms: float(rng),
+            score_ms: float(rng),
+            finalize_ms: float(rng),
+            backend: name(rng),
+        }
+    }
+
+    fn arbitrary_receipt(rng: &mut TestRng) -> SubmitReceipt {
+        let timings = (0..(0..4usize).generate(rng))
+            .map(|_| ShardTiming {
+                shard: any::<u32>().generate(rng),
+                visits: uint(rng),
+                ms: float(rng),
+            })
+            .collect();
+        SubmitReceipt {
+            session: uint(rng),
+            batch: size(rng),
+            queries: size(rng),
+            rejected_queries: size(rng),
+            psms: size(rng),
+            total_psms: size(rng),
+            candidates_scored: size(rng),
+            candidates_pre: size(rng),
+            candidates_post: size(rng),
+            sketch_ms: float(rng),
+            shards_touched: size(rng),
+            workers: size(rng),
+            latency_ms: float(rng),
+            wait_ms: float(rng),
+            encode_ms: float(rng),
+            candidates_ms: float(rng),
+            score_ms: float(rng),
+            shard_timings: timings,
+        }
+    }
+
+    fn arbitrary_tier(rng: &mut TestRng) -> TierStats {
+        TierStats {
+            queued: size(rng),
+            in_flight: size(rng),
+            admitted: uint(rng),
+            completed: uint(rng),
+            rejected_busy: uint(rng),
+            shed_deadline: uint(rng),
+            total_wait_ms: float(rng),
+        }
+    }
+
+    fn arbitrary_server_stats(rng: &mut TestRng) -> ServerStats {
+        ServerStats {
+            workers: size(rng),
+            queue_depth: size(rng),
+            deadline_ms: uint(rng),
+            interactive_weight: size(rng),
+            interactive_queue_depth: size(rng),
+            coalesce_window_ms: uint(rng),
+            memory_budget: uint(rng),
+            queued: size(rng),
+            in_flight: size(rng),
+            workers_busy: size(rng),
+            peak_workers_busy: size(rng),
+            admitted: uint(rng),
+            completed: uint(rng),
+            rejected_busy: uint(rng),
+            shed_deadline: uint(rng),
+            total_wait_ms: float(rng),
+            interactive: arbitrary_tier(rng),
+            batch: arbitrary_tier(rng),
+            coalesced_batches: uint(rng),
+            coalesced_requests: uint(rng),
+            prefilter_candidates_pre: uint(rng),
+            prefilter_candidates_post: uint(rng),
+            prefilter_sketch_ms: float(rng),
+            resident_bytes: uint(rng),
+            resident_shards: size(rng),
+            evictions: uint(rng),
+            reloads: uint(rng),
+            open_sessions: size(rng),
+            resident_indexes: size(rng),
+        }
+    }
+
+    fn arbitrary_metrics(rng: &mut TestRng) -> MetricsReport {
+        let entries = |rng: &mut TestRng| 0..(0..4usize).generate(rng);
+        MetricsReport {
+            counters: entries(rng).map(|_| (name(rng), uint(rng))).collect(),
+            gauges: entries(rng)
+                .map(|_| (name(rng), (-(EXACT as i64)..=EXACT as i64).generate(rng)))
+                .collect(),
+            histograms: entries(rng)
+                .map(|_| {
+                    let summary = HistogramSummary {
+                        count: uint(rng),
+                        sum_ms: float(rng),
+                        p50_ms: float(rng),
+                        p90_ms: float(rng),
+                        p99_ms: float(rng),
+                    };
+                    (name(rng), summary)
+                })
+                .collect(),
+        }
+    }
+
+    /// A strategy from a plain generator function.
+    struct Gen<T>(fn(&mut TestRng) -> T);
+
+    impl<T> Strategy for Gen<T> {
+        type Value = T;
+
+        fn generate(&self, rng: &mut TestRng) -> T {
+            (self.0)(rng)
+        }
+    }
+
+    fn assert_response_identity(resp: &Response) -> Result<(), String> {
+        let line = resp.encode();
+        let back = Response::decode(&line)?;
+        prop_assert_eq!(&back, resp);
+        prop_assert_eq!(back.encode(), line);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn query_spectra_roundtrip(spectra in collection::vec(Gen(arbitrary_spectrum), 0..4)) {
+            let req = Request::SessionSubmit { session: 1, spectra };
+            let line = req.encode();
+            let back = Request::decode(&line)?;
+            prop_assert_eq!(&back, &req);
+            prop_assert_eq!(back.encode(), line);
+        }
+
+        #[test]
+        fn batch_stats_roundtrip(stats in Gen(arbitrary_batch_stats), index in Gen(name)) {
+            assert_response_identity(&Response::Result(QueryResult {
+                index,
+                rows: Vec::new(),
+                stats,
+            }))?;
+        }
+
+        #[test]
+        fn receipts_roundtrip(receipt in Gen(arbitrary_receipt)) {
+            assert_response_identity(&Response::Receipt(receipt))?;
+        }
+
+        #[test]
+        fn server_stats_roundtrip(stats in Gen(arbitrary_server_stats)) {
+            assert_response_identity(&Response::Stats(stats))?;
+        }
+
+        #[test]
+        fn metrics_reports_roundtrip(report in Gen(arbitrary_metrics)) {
+            assert_response_identity(&Response::Metrics(report))?;
+        }
+    }
+}
