@@ -14,6 +14,35 @@
 //! let resp = Response::Pong { protocol: 5 };
 //! assert_eq!(resp.encode(), r#"{"type":"pong","protocol":5}"#);
 //! ```
+//!
+//! # One field table per message
+//!
+//! Each message body is declared once, as a field table: the struct or
+//! enum definition itself, wrapped in the crate's `wire_struct!` /
+//! `wire_enum!` macros. The table generates both directions. Fields are
+//! encoded in declaration order, which is wire order, and each is decoded
+//! by the same line, so encoder and decoder cannot drift. A field line
+//! ends in one of three policies:
+//!
+//! * **required** (no suffix): always encoded; an object without it fails
+//!   to decode with `missing field "<name>"`;
+//! * **`[default = expr]`**: always encoded; `expr` when absent on decode
+//!   (`window`, `fdr`);
+//! * **`[omit_default]`**: left off the wire at the type's default, which
+//!   decoding restores when the field is absent (`tier`, the error
+//!   `code`, `prefilter: None`).
+//!
+//! Three more suffixes mark required fields with a wire quirk:
+//! `[null = expr]` decodes `null` as `expr` (`threshold_score`'s
+//! `null ⇄ +∞`), `[key = "..."]` puts the field under another wire key,
+//! and `[label = "..."]` names it differently in type errors. `Request`
+//! and `Response` map each `type` tag to one variant; a tuple variant's
+//! body is flattened into the message object (or nested under its
+//! `[key = "..."]`). The foreign types ([`PsmTableRow`], [`ShardTiming`])
+//! and the metrics name → value maps keep short hand-written impls of the
+//! same crate-private `Wire` trait. Adding a wire field therefore means
+//! adding one documented table line, plus its example in
+//! `docs/PROTOCOL.md`.
 
 use crate::json::Json;
 use crate::scheduler::{Tier, TierStats};
@@ -39,6 +68,441 @@ pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Default FDR level applied when a query request omits `"fdr"`.
 pub const DEFAULT_FDR: f64 = 0.01;
+
+/// One value's wire form: encoded as one JSON value, decoded back with
+/// `what` naming the value in error messages. Error strings are built on
+/// the error path only.
+pub(crate) trait Wire: Sized {
+    /// The value as JSON.
+    fn encode(&self) -> Json;
+
+    /// The value `v` holds.
+    fn decode(v: &Json, what: &str) -> Result<Self, String>;
+}
+
+/// Required object field `key`.
+pub(crate) fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// Required object field `key`, decoded.
+pub(crate) fn required<T: Wire>(v: &Json, key: &str) -> Result<T, String> {
+    T::decode(field(v, key)?, key)
+}
+
+/// Optional object field `key`, decoded, or `default()` when absent.
+pub(crate) fn optional<T: Wire>(
+    v: &Json,
+    key: &str,
+    default: impl FnOnce() -> T,
+) -> Result<T, String> {
+    v.get(key)
+        .map_or_else(|| Ok(default()), |x| T::decode(x, key))
+}
+
+/// Encode or decode one table field under its policy (see the module
+/// docs): `encode <fields>, <name>, <&value>, [policy]` pushes the
+/// field's `(key, value)` pair, `decode <object>, <name>, [policy]`
+/// evaluates to the decoded value (propagating errors with `?`).
+macro_rules! field_codec {
+    (encode $out:ident, $name:ident, $value:expr, [omit_default]) => {
+        if *$value != Default::default() {
+            $out.push((
+                stringify!($name).to_owned(),
+                $crate::protocol::Wire::encode($value),
+            ));
+        }
+    };
+    (encode $out:ident, $name:ident, $value:expr, [key = $key:literal]) => {
+        $out.push(($key.to_owned(), $crate::protocol::Wire::encode($value)))
+    };
+    (encode $out:ident, $name:ident, $value:expr, [$($policy:tt)*]) => {
+        $out.push((
+            stringify!($name).to_owned(),
+            $crate::protocol::Wire::encode($value),
+        ))
+    };
+    (decode $v:ident, $name:ident, []) => {
+        $crate::protocol::required($v, stringify!($name))?
+    };
+    (decode $v:ident, $name:ident, [key = $key:literal]) => {
+        $crate::protocol::required($v, $key)?
+    };
+    (decode $v:ident, $name:ident, [label = $label:literal]) => {
+        $crate::protocol::Wire::decode($crate::protocol::field($v, stringify!($name))?, $label)?
+    };
+    (decode $v:ident, $name:ident, [null = $null:expr]) => {
+        match $crate::protocol::field($v, stringify!($name))? {
+            $crate::json::Json::Null => $null,
+            x => $crate::protocol::Wire::decode(x, stringify!($name))?,
+        }
+    };
+    (decode $v:ident, $name:ident, [default = $default:expr]) => {
+        $crate::protocol::optional($v, stringify!($name), || $default)?
+    };
+    (decode $v:ident, $name:ident, [omit_default]) => {
+        $crate::protocol::optional($v, stringify!($name), Default::default)?
+    };
+}
+pub(crate) use field_codec;
+
+/// Define a wire struct from its field table: the struct exactly as
+/// written (every field documented, optionally followed by a `[policy]`)
+/// and its `Wire` impl, one JSON object with the fields in declaration
+/// order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                pub $field:ident: $ty:ty $([$($policy:tt)*])?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)*
+        }
+
+        impl $crate::protocol::Wire for $name {
+            fn encode(&self) -> $crate::json::Json {
+                let mut fields = Vec::with_capacity([$(stringify!($field)),*].len());
+                $($crate::protocol::field_codec!(
+                    encode fields, $field, &self.$field, [$($($policy)*)?]
+                );)*
+                $crate::json::Json::Obj(fields)
+            }
+
+            fn decode(v: &$crate::json::Json, _what: &str) -> Result<$name, String> {
+                Ok($name {
+                    $($field: $crate::protocol::field_codec!(decode v, $field, [$($($policy)*)?]),)*
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+/// A tuple variant's body: flattened into the message object, or nested
+/// under its `key`.
+macro_rules! variant_codec {
+    (encode $out:ident, $value:ident, $ty:ty, $key:literal) => {
+        $out.push(($key.to_owned(), Wire::encode($value)))
+    };
+    (encode $out:ident, $value:ident, $ty:ty) => {
+        if let Json::Obj(pairs) = Wire::encode($value) {
+            $out.extend(pairs);
+        }
+    };
+    (decode $v:ident, $ty:ty, $key:literal) => {
+        required::<$ty>($v, $key)?
+    };
+    (decode $v:ident, $ty:ty) => {
+        <$ty as Wire>::decode($v, "")?
+    };
+}
+
+/// Define a message enum from its `"type"` tag ↔ variant table: the enum
+/// exactly as written, plus `encode` (one canonical JSON line, the tag
+/// first) and `decode`. Unit variants carry only the tag; struct variants
+/// are field tables; tuple variants wrap a wire type, flattened unless
+/// given a `[key = "..."]`.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $tag:literal => $variant:ident
+                    $(($inner:ty $([key = $key:literal])?))?
+                    $({
+                        $(
+                            $(#[$field_meta:meta])*
+                            $field:ident: $ty:ty $([$($policy:tt)*])?,
+                        )*
+                    })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant $(($inner))? $({$($(#[$field_meta])* $field: $ty,)*})?,
+            )*
+        }
+
+        impl $name {
+            /// Encode as one canonical JSON line (no trailing newline).
+            pub fn encode(&self) -> String {
+                let tag = match self {
+                    $($name::$variant { .. } => $tag,)*
+                };
+                let mut fields = vec![("type".to_owned(), Json::str(tag))];
+                $(
+                    $(if let $name::$variant(value) = self {
+                        variant_codec!(encode fields, value, $inner $(, $key)?);
+                    })?
+                    $(if let $name::$variant { $($field),* } = self {
+                        $(field_codec!(encode fields, $field, $field, [$($($policy)*)?]);)*
+                    })?
+                )*
+                Json::Obj(fields).encode()
+            }
+
+            /// Decode one line.
+            ///
+            /// # Errors
+            ///
+            /// Returns a human-readable description of the first
+            /// structural problem (malformed JSON, unknown type,
+            /// missing/mistyped field), checking fields in wire order.
+            pub fn decode(line: &str) -> Result<$name, String> {
+                let doc = Json::parse(line).map_err(|e| e.to_string())?;
+                let v = &doc;
+                match field(v, "type")?.as_str() {
+                    $(Some($tag) => Ok($name::$variant
+                        $((variant_codec!(decode v, $inner $(, $key)?)))?
+                        $({$($field: field_codec!(decode v, $field, [$($($policy)*)?]),)*})?
+                    ),)*
+                    Some(other) => Err(format!(
+                        "unknown {} type {other:?}",
+                        stringify!($name).to_lowercase()
+                    )),
+                    None => Err(format!(
+                        "{} type must be a string",
+                        stringify!($name).to_lowercase()
+                    )),
+                }
+            }
+        }
+    };
+}
+
+macro_rules! wire_uint {
+    ($($t:ty),*) => {$(
+        /// Range-checked against the type's MAX: values beyond it are
+        /// rejected, never wrapped (a charge of 257 must error, not
+        /// silently search as charge 1).
+        impl Wire for $t {
+            fn encode(&self) -> Json {
+                Json::Num(*self as f64)
+            }
+
+            fn decode(v: &Json, what: &str) -> Result<$t, String> {
+                let n = v
+                    .as_u64()
+                    .ok_or_else(|| format!("{what} must be a non-negative integer"))?;
+                <$t>::try_from(n)
+                    .map_err(|_| format!("{what} {n} out of range (max {})", <$t>::MAX))
+            }
+        }
+    )*};
+}
+wire_uint!(u8, u32, u64, usize);
+
+/// Signed integers (gauges may go negative); non-integral numbers are
+/// rejected.
+impl Wire for i64 {
+    fn encode(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+
+    fn decode(v: &Json, what: &str) -> Result<i64, String> {
+        let x = f64::decode(v, what)?;
+        if x.fract() != 0.0 || x < i64::MIN as f64 || x > i64::MAX as f64 {
+            return Err(format!("{what} must be an integer"));
+        }
+        Ok(x as i64)
+    }
+}
+
+impl Wire for f64 {
+    fn encode(&self) -> Json {
+        Json::Num(*self)
+    }
+
+    fn decode(v: &Json, what: &str) -> Result<f64, String> {
+        v.as_f64().ok_or_else(|| format!("{what} must be a number"))
+    }
+}
+
+impl Wire for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn decode(v: &Json, what: &str) -> Result<bool, String> {
+        v.as_bool()
+            .ok_or_else(|| format!("{what} must be a boolean"))
+    }
+}
+
+/// The string content of `v`.
+fn text<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
+    v.as_str().ok_or_else(|| format!("{what} must be a string"))
+}
+
+impl Wire for String {
+    fn encode(&self) -> Json {
+        Json::str(self.clone())
+    }
+
+    fn decode(v: &Json, what: &str) -> Result<String, String> {
+        text(v, what).map(str::to_owned)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(T::encode).collect())
+    }
+
+    fn decode(v: &Json, what: &str) -> Result<Vec<T>, String> {
+        v.as_arr()
+            .ok_or_else(|| format!("{what} must be an array"))?
+            .iter()
+            .map(|item| T::decode(item, what))
+            .collect()
+    }
+}
+
+/// `None` is only ever left off the wire (`[omit_default]`).
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+
+    fn decode(v: &Json, what: &str) -> Result<Option<T>, String> {
+        T::decode(v, what).map(Some)
+    }
+}
+
+/// The string-named enums: `$name` renders the wire name, `$parse` reads
+/// it back (and describes unknown names).
+macro_rules! wire_named {
+    ($($t:ty: $name:expr, $parse:expr;)*) => {$(
+        impl Wire for $t {
+            fn encode(&self) -> Json {
+                Json::str($name(*self))
+            }
+
+            fn decode(v: &Json, what: &str) -> Result<$t, String> {
+                $parse(text(v, what)?)
+            }
+        }
+    )*};
+}
+wire_named! {
+    WindowKind: WindowKind::name, WindowKind::parse;
+    Tier: Tier::name, Tier::parse;
+    PrefilterConfig: PrefilterConfig::render, PrefilterConfig::parse;
+    // `General` is omitted at its default, so it never reaches the wire.
+    ErrorCode: |code: ErrorCode| code.name().unwrap_or_default(), ErrorCode::parse;
+}
+
+/// A fragment peak as its `[mz, intensity]` pair.
+impl Wire for (f64, f64) {
+    fn encode(&self) -> Json {
+        Json::Arr(vec![Json::Num(self.0), Json::Num(self.1)])
+    }
+
+    fn decode(v: &Json, _what: &str) -> Result<(f64, f64), String> {
+        match v.as_arr() {
+            Some([mz, intensity]) => Ok((
+                f64::decode(mz, "peak mz")?,
+                f64::decode(intensity, "peak intensity")?,
+            )),
+            _ => Err("each peak must be a [mz, intensity] pair".to_owned()),
+        }
+    }
+}
+
+/// A PSM table row, its [`Psm`] flattened into the row object.
+impl Wire for PsmTableRow {
+    fn encode(&self) -> Json {
+        Json::Obj(vec![
+            ("query_id".into(), self.psm.query_id.encode()),
+            ("reference_id".into(), self.psm.reference_id.encode()),
+            ("peptide".into(), self.peptide.encode()),
+            ("score".into(), self.psm.score.encode()),
+            ("is_decoy".into(), self.psm.is_decoy.encode()),
+            ("precursor_delta".into(), self.psm.precursor_delta.encode()),
+            ("accepted".into(), self.accepted.encode()),
+        ])
+    }
+
+    fn decode(v: &Json, _what: &str) -> Result<PsmTableRow, String> {
+        Ok(PsmTableRow {
+            psm: Psm {
+                query_id: required(v, "query_id")?,
+                reference_id: required(v, "reference_id")?,
+                score: required(v, "score")?,
+                is_decoy: required(v, "is_decoy")?,
+                precursor_delta: required(v, "precursor_delta")?,
+            },
+            peptide: required(v, "peptide")?,
+            accepted: required(v, "accepted")?,
+        })
+    }
+}
+
+impl Wire for ShardTiming {
+    fn encode(&self) -> Json {
+        Json::Obj(vec![
+            ("shard".into(), self.shard.encode()),
+            ("visits".into(), self.visits.encode()),
+            ("ms".into(), self.ms.encode()),
+        ])
+    }
+
+    fn decode(v: &Json, _what: &str) -> Result<ShardTiming, String> {
+        Ok(ShardTiming {
+            shard: required(v, "shard")?,
+            visits: required(v, "visits")?,
+            ms: required(v, "ms")?,
+        })
+    }
+}
+
+/// The metrics report: three name → value maps, each one JSON object
+/// whose entries keep registry order ([`Json::Obj`] preserves insertion
+/// order).
+impl Wire for MetricsReport {
+    fn encode(&self) -> Json {
+        fn map<T: Wire>(entries: &[(String, T)]) -> Json {
+            Json::Obj(
+                entries
+                    .iter()
+                    .map(|(name, value)| (name.clone(), value.encode()))
+                    .collect(),
+            )
+        }
+        Json::Obj(vec![
+            ("counters".into(), map(&self.counters)),
+            ("gauges".into(), map(&self.gauges)),
+            ("histograms".into(), map(&self.histograms)),
+        ])
+    }
+
+    fn decode(v: &Json, _what: &str) -> Result<MetricsReport, String> {
+        fn map<T: Wire>(v: &Json, key: &str, what: &str) -> Result<Vec<(String, T)>, String> {
+            let Json::Obj(entries) = field(v, key)? else {
+                return Err(format!("{key} must be an object"));
+            };
+            entries
+                .iter()
+                .map(|(name, value)| Ok((name.clone(), T::decode(value, what)?)))
+                .collect()
+        }
+        Ok(MetricsReport {
+            counters: map(v, "counters", "counter value")?,
+            gauges: map(v, "gauges", "gauge value")?,
+            histograms: map(v, "histograms", "histogram")?,
+        })
+    }
+}
 
 /// Machine-readable classification of an `error` response, so clients
 /// can react without parsing prose. `General` (the catch-all for
@@ -122,18 +586,20 @@ impl WindowKind {
     }
 }
 
-/// One query spectrum on the wire: precursor information plus the peak
-/// list as `[mz, intensity]` pairs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuerySpectrum {
-    /// Client-chosen id, echoed back in the PSM rows.
-    pub id: u32,
-    /// Precursor m/z.
-    pub precursor_mz: f64,
-    /// Precursor charge state.
-    pub precursor_charge: u8,
-    /// Fragment peaks as `(mz, intensity)` pairs.
-    pub peaks: Vec<(f64, f64)>,
+wire_struct! {
+    /// One query spectrum on the wire: precursor information plus the
+    /// peak list as `[mz, intensity]` pairs.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QuerySpectrum {
+        /// Client-chosen id, echoed back in the PSM rows.
+        pub id: u32,
+        /// Precursor m/z.
+        pub precursor_mz: f64,
+        /// Precursor charge state.
+        pub precursor_charge: u8,
+        /// Fragment peaks as `(mz, intensity)` pairs.
+        pub peaks: Vec<(f64, f64)> [label = "spectrum peaks"],
+    }
 }
 
 impl QuerySpectrum {
@@ -188,547 +654,361 @@ impl QuerySpectrum {
             SpectrumOrigin::Query,
         ))
     }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".into(), Json::Num(f64::from(self.id))),
-            ("precursor_mz".into(), Json::Num(self.precursor_mz)),
-            (
-                "precursor_charge".into(),
-                Json::Num(f64::from(self.precursor_charge)),
-            ),
-            (
-                "peaks".into(),
-                Json::Arr(
-                    self.peaks
-                        .iter()
-                        .map(|&(mz, i)| Json::Arr(vec![Json::Num(mz), Json::Num(i)]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<QuerySpectrum, String> {
-        let peaks = req_field(v, "peaks")?
-            .as_arr()
-            .ok_or("spectrum peaks must be an array")?
-            .iter()
-            .map(|p| {
-                let pair = p
-                    .as_arr()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| "each peak must be a [mz, intensity] pair".to_owned())?;
-                Ok((num(&pair[0], "peak mz")?, num(&pair[1], "peak intensity")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(QuerySpectrum {
-            id: u32_field(v, "id")?,
-            precursor_mz: num(req_field(v, "precursor_mz")?, "precursor_mz")?,
-            precursor_charge: uint_in(
-                req_field(v, "precursor_charge")?,
-                "precursor_charge",
-                u64::from(u8::MAX),
-            )? as u8,
-            peaks,
-        })
-    }
 }
 
-/// A `query` request: search a batch of spectra against one resident
-/// index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryRequest {
-    /// Name of the resident index to search.
-    pub index: String,
-    /// Precursor window (defaults to open when omitted on the wire).
-    pub window: WindowKind,
-    /// FDR acceptance level in (0, 1) (defaults to [`DEFAULT_FDR`]).
-    pub fdr: f64,
-    /// Priority class. [`Tier::Batch`] (the default — omitted on the
-    /// wire) queues behind the batch bound; [`Tier::Interactive`] uses
-    /// the separately bounded interactive queue, is dequeued
-    /// preferentially, and is eligible for cross-request coalescing.
-    pub tier: Tier,
-    /// Per-request prefilter override (`"off"` / `"k=N"`). `None` (the
-    /// field omitted on the wire) uses the server's configured default
-    /// (`hdoms serve --prefilter`).
-    pub prefilter: Option<PrefilterConfig>,
-    /// The query batch. FDR filtering is per batch: splitting a query set
-    /// across batches changes the acceptance threshold.
-    pub spectra: Vec<QuerySpectrum>,
-}
-
-/// A client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Liveness / version probe.
-    Ping,
-    /// List the resident indexes.
-    ListIndexes,
-    /// Search a query batch (FDR filtered per batch).
-    Query(QueryRequest),
-    /// Open a streaming session against one resident index.
-    SessionOpen {
+wire_struct! {
+    /// A `query` request: search a batch of spectra against one resident
+    /// index.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QueryRequest {
         /// Name of the resident index to search.
-        index: String,
-        /// Precursor window for the whole session (defaults to open).
-        window: WindowKind,
-        /// Priority class every `session.submit` of this session is
-        /// admitted under (defaults to [`Tier::Batch`], omitted on the
-        /// wire at the default).
-        tier: Tier,
-        /// Prefilter override for the whole session (`"off"` / `"k=N"`);
-        /// `None` uses the server's configured default.
-        prefilter: Option<PrefilterConfig>,
-    },
-    /// Submit one batch to an open session (accumulates raw PSMs; no
-    /// FDR filtering until `session.finalize`).
-    SessionSubmit {
-        /// Session id returned by `session.open`.
-        session: u64,
-        /// The query batch.
-        spectra: Vec<QuerySpectrum>,
-    },
-    /// Filter FDR once over everything the session accumulated, return
-    /// the full PSM table, and close the session.
-    SessionFinalize {
-        /// Session id returned by `session.open`.
-        session: u64,
+        pub index: String,
+        /// Precursor window (defaults to open when omitted on the wire).
+        pub window: WindowKind [default = WindowKind::Open],
         /// FDR acceptance level in (0, 1) (defaults to [`DEFAULT_FDR`]).
-        fdr: f64,
-    },
-    /// Discard an open session without producing a result (the abort
-    /// path — clients that fail mid-stream should close what they
-    /// opened so the server's session slots are not leaked).
-    SessionClose {
-        /// Session id returned by `session.open`.
-        session: u64,
-    },
-    /// Load a `.hdx` index from the server's filesystem and make it
-    /// resident under `name`.
-    IndexLoad {
-        /// Name to register the index under.
-        name: String,
-        /// Path to the `.hdx` file on the server.
-        path: String,
-    },
-    /// Drop a resident index. Open sessions keep their engine alive
-    /// until they finalize; new requests against the name fail.
-    IndexUnload {
+        pub fdr: f64 [default = DEFAULT_FDR],
+        /// Priority class. [`Tier::Batch`] (the default — omitted on the
+        /// wire) queues behind the batch bound; [`Tier::Interactive`] uses
+        /// the separately bounded interactive queue, is dequeued
+        /// preferentially, and is eligible for cross-request coalescing.
+        pub tier: Tier [omit_default],
+        /// Per-request prefilter override (`"off"` / `"k=N"`). `None` (the
+        /// field omitted on the wire) uses the server's configured default
+        /// (`hdoms serve --prefilter`).
+        pub prefilter: Option<PrefilterConfig> [omit_default],
+        /// The query batch. FDR filtering is per batch: splitting a query
+        /// set across batches changes the acceptance threshold.
+        pub spectra: Vec<QuerySpectrum>,
+    }
+}
+
+wire_enum! {
+    /// A client request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Liveness / version probe.
+        "ping" => Ping,
+        /// List the resident indexes.
+        "list_indexes" => ListIndexes,
+        /// Search a query batch (FDR filtered per batch).
+        "query" => Query(QueryRequest),
+        /// Open a streaming session against one resident index.
+        "session.open" => SessionOpen {
+            /// Name of the resident index to search.
+            index: String,
+            /// Precursor window for the whole session (defaults to open).
+            window: WindowKind [default = WindowKind::Open],
+            /// Priority class every `session.submit` of this session is
+            /// admitted under (defaults to [`Tier::Batch`], omitted on the
+            /// wire at the default).
+            tier: Tier [omit_default],
+            /// Prefilter override for the whole session (`"off"` /
+            /// `"k=N"`); `None` uses the server's configured default.
+            prefilter: Option<PrefilterConfig> [omit_default],
+        },
+        /// Submit one batch to an open session (accumulates raw PSMs; no
+        /// FDR filtering until `session.finalize`).
+        "session.submit" => SessionSubmit {
+            /// Session id returned by `session.open`.
+            session: u64,
+            /// The query batch.
+            spectra: Vec<QuerySpectrum>,
+        },
+        /// Filter FDR once over everything the session accumulated,
+        /// return the full PSM table, and close the session.
+        "session.finalize" => SessionFinalize {
+            /// Session id returned by `session.open`.
+            session: u64,
+            /// FDR acceptance level in (0, 1) (defaults to
+            /// [`DEFAULT_FDR`]).
+            fdr: f64 [default = DEFAULT_FDR],
+        },
+        /// Discard an open session without producing a result (the abort
+        /// path — clients that fail mid-stream should close what they
+        /// opened so the server's session slots are not leaked).
+        "session.close" => SessionClose {
+            /// Session id returned by `session.open`.
+            session: u64,
+        },
+        /// Load a `.hdx` index from the server's filesystem and make it
+        /// resident under `name`.
+        "index.load" => IndexLoad {
+            /// Name to register the index under.
+            name: String,
+            /// Path to the `.hdx` file on the server.
+            path: String,
+        },
+        /// Drop a resident index. Open sessions keep their engine alive
+        /// until they finalize; new requests against the name fail.
+        "index.unload" => IndexUnload {
+            /// Name the index was registered under.
+            name: String,
+        },
+        /// Report the scheduler's queue/worker counters and the server's
+        /// resident-set size (for monitoring and load shedding
+        /// decisions).
+        "server.stats" => ServerStats,
+        /// Report the server's metrics registry: every counter, gauge,
+        /// and latency-histogram summary (the same registry `hdoms serve
+        /// --metrics` exposes in Prometheus text form).
+        "server.metrics" => ServerMetrics,
+    }
+}
+
+wire_struct! {
+    /// A one-line summary of a resident index (the `indexes` response).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct IndexSummary {
         /// Name the index was registered under.
-        name: String,
-    },
-    /// Report the scheduler's queue/worker counters and the server's
-    /// resident-set size (for monitoring and load shedding decisions).
-    ServerStats,
-    /// Report the server's metrics registry: every counter, gauge, and
-    /// latency-histogram summary (the same registry `hdoms serve
-    /// --metrics` exposes in Prometheus text form).
-    ServerMetrics,
-}
-
-impl Request {
-    /// Encode as one canonical JSON line (no trailing newline).
-    pub fn encode(&self) -> String {
-        let v = match self {
-            Request::Ping => Json::Obj(vec![("type".into(), Json::str("ping"))]),
-            Request::ListIndexes => Json::Obj(vec![("type".into(), Json::str("list_indexes"))]),
-            Request::Query(q) => {
-                let mut fields = vec![
-                    ("type".into(), Json::str("query")),
-                    ("index".into(), Json::str(q.index.clone())),
-                    ("window".into(), Json::str(q.window.name())),
-                    ("fdr".into(), Json::Num(q.fdr)),
-                ];
-                if q.tier != Tier::default() {
-                    fields.push(("tier".into(), Json::str(q.tier.name())));
-                }
-                if let Some(prefilter) = q.prefilter {
-                    fields.push(("prefilter".into(), Json::str(prefilter.render())));
-                }
-                fields.push((
-                    "spectra".into(),
-                    Json::Arr(q.spectra.iter().map(QuerySpectrum::to_json).collect()),
-                ));
-                Json::Obj(fields)
-            }
-            Request::SessionOpen {
-                index,
-                window,
-                tier,
-                prefilter,
-            } => {
-                let mut fields = vec![
-                    ("type".into(), Json::str("session.open")),
-                    ("index".into(), Json::str(index.clone())),
-                    ("window".into(), Json::str(window.name())),
-                ];
-                if *tier != Tier::default() {
-                    fields.push(("tier".into(), Json::str(tier.name())));
-                }
-                if let Some(prefilter) = prefilter {
-                    fields.push(("prefilter".into(), Json::str(prefilter.render())));
-                }
-                Json::Obj(fields)
-            }
-            Request::SessionSubmit { session, spectra } => Json::Obj(vec![
-                ("type".into(), Json::str("session.submit")),
-                ("session".into(), Json::Num(*session as f64)),
-                (
-                    "spectra".into(),
-                    Json::Arr(spectra.iter().map(QuerySpectrum::to_json).collect()),
-                ),
-            ]),
-            Request::SessionFinalize { session, fdr } => Json::Obj(vec![
-                ("type".into(), Json::str("session.finalize")),
-                ("session".into(), Json::Num(*session as f64)),
-                ("fdr".into(), Json::Num(*fdr)),
-            ]),
-            Request::SessionClose { session } => Json::Obj(vec![
-                ("type".into(), Json::str("session.close")),
-                ("session".into(), Json::Num(*session as f64)),
-            ]),
-            Request::IndexLoad { name, path } => Json::Obj(vec![
-                ("type".into(), Json::str("index.load")),
-                ("name".into(), Json::str(name.clone())),
-                ("path".into(), Json::str(path.clone())),
-            ]),
-            Request::IndexUnload { name } => Json::Obj(vec![
-                ("type".into(), Json::str("index.unload")),
-                ("name".into(), Json::str(name.clone())),
-            ]),
-            Request::ServerStats => Json::Obj(vec![("type".into(), Json::str("server.stats"))]),
-            Request::ServerMetrics => Json::Obj(vec![("type".into(), Json::str("server.metrics"))]),
-        };
-        v.encode()
-    }
-
-    /// Decode one request line.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first structural
-    /// problem (malformed JSON, unknown type, missing/mistyped field).
-    pub fn decode(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        match req_field(&v, "type")?.as_str() {
-            Some("ping") => Ok(Request::Ping),
-            Some("list_indexes") => Ok(Request::ListIndexes),
-            Some("query") => {
-                let spectra = req_field(&v, "spectra")?
-                    .as_arr()
-                    .ok_or("spectra must be an array")?
-                    .iter()
-                    .map(QuerySpectrum::from_json)
-                    .collect::<Result<Vec<_>, String>>()?;
-                let window = match v.get("window") {
-                    None => WindowKind::Open,
-                    Some(w) => WindowKind::parse(w.as_str().ok_or("window must be a string")?)?,
-                };
-                let fdr = match v.get("fdr") {
-                    None => DEFAULT_FDR,
-                    Some(f) => num(f, "fdr")?,
-                };
-                let prefilter = match v.get("prefilter") {
-                    None => None,
-                    Some(p) => Some(PrefilterConfig::parse(
-                        p.as_str().ok_or("prefilter must be a string")?,
-                    )?),
-                };
-                Ok(Request::Query(QueryRequest {
-                    index: req_field(&v, "index")?
-                        .as_str()
-                        .ok_or("index must be a string")?
-                        .to_owned(),
-                    window,
-                    fdr,
-                    tier: tier_field(&v)?,
-                    prefilter,
-                    spectra,
-                }))
-            }
-            Some("session.open") => Ok(Request::SessionOpen {
-                index: string(&v, "index")?,
-                window: match v.get("window") {
-                    None => WindowKind::Open,
-                    Some(w) => WindowKind::parse(w.as_str().ok_or("window must be a string")?)?,
-                },
-                tier: tier_field(&v)?,
-                prefilter: match v.get("prefilter") {
-                    None => None,
-                    Some(p) => Some(PrefilterConfig::parse(
-                        p.as_str().ok_or("prefilter must be a string")?,
-                    )?),
-                },
-            }),
-            Some("session.submit") => Ok(Request::SessionSubmit {
-                session: uint(req_field(&v, "session")?, "session")?,
-                spectra: req_field(&v, "spectra")?
-                    .as_arr()
-                    .ok_or("spectra must be an array")?
-                    .iter()
-                    .map(QuerySpectrum::from_json)
-                    .collect::<Result<Vec<_>, String>>()?,
-            }),
-            Some("session.finalize") => Ok(Request::SessionFinalize {
-                session: uint(req_field(&v, "session")?, "session")?,
-                fdr: match v.get("fdr") {
-                    None => DEFAULT_FDR,
-                    Some(f) => num(f, "fdr")?,
-                },
-            }),
-            Some("session.close") => Ok(Request::SessionClose {
-                session: uint(req_field(&v, "session")?, "session")?,
-            }),
-            Some("index.load") => Ok(Request::IndexLoad {
-                name: string(&v, "name")?,
-                path: string(&v, "path")?,
-            }),
-            Some("index.unload") => Ok(Request::IndexUnload {
-                name: string(&v, "name")?,
-            }),
-            Some("server.stats") => Ok(Request::ServerStats),
-            Some("server.metrics") => Ok(Request::ServerMetrics),
-            Some(other) => Err(format!("unknown request type {other:?}")),
-            None => Err("request type must be a string".to_owned()),
-        }
+        pub name: String,
+        /// Backend kind ("exact" | "hyperoms" | "rram").
+        pub backend: String,
+        /// Hypervector dimension.
+        pub dim: usize,
+        /// Number of indexed references.
+        pub entries: usize,
+        /// Number of precursor-mass shards.
+        pub shards: usize,
     }
 }
 
-/// A one-line summary of a resident index (the `indexes` response).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexSummary {
-    /// Name the index was registered under.
-    pub name: String,
-    /// Backend kind ("exact" | "hyperoms" | "rram").
-    pub backend: String,
-    /// Hypervector dimension.
-    pub dim: usize,
-    /// Number of indexed references.
-    pub entries: usize,
-    /// Number of precursor-mass shards.
-    pub shards: usize,
+wire_struct! {
+    /// Per-batch serving statistics, reported with every `result`
+    /// response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchStats {
+        /// Wall-clock time spent answering the batch, milliseconds.
+        pub latency_ms: f64,
+        /// Time the batch waited in the scheduler queue before its worker
+        /// budget was granted, milliseconds (for a session finalize: the
+        /// accumulated wait of every submitted batch).
+        pub wait_ms: f64,
+        /// Batches already waiting in the queue when this one was
+        /// submitted (0 for a finalize, which does not queue).
+        pub queued: usize,
+        /// Worker budget the scheduler granted the batch (0 for a
+        /// finalize, which runs unscheduled).
+        pub workers: usize,
+        /// Queries in the batch.
+        pub queries: usize,
+        /// Queries dropped by preprocessing (too few peaks).
+        pub rejected_queries: usize,
+        /// Best-hit PSMs produced.
+        pub psms: usize,
+        /// PSMs accepted at the requested FDR.
+        pub identifications: usize,
+        /// Score of the weakest accepted PSM: `+∞` when no PSM was
+        /// accepted ([`hdoms_oms::fdr::filter_fdr`]), which JSON cannot
+        /// express, so the wire carries `null`.
+        pub threshold_score: f64 [null = f64::INFINITY],
+        /// Total shard visits across the batch: the visit total of its
+        /// per-shard timings (see [`hdoms_engine::ShardTiming`]).
+        pub shards_touched: usize,
+        /// Total candidate references scored across the batch.
+        pub candidates_scored: usize,
+        /// Precursor-window candidates generated across the batch, before
+        /// any prefilter narrowing (equals `candidates_scored` when the
+        /// prefilter is off).
+        pub candidates_pre: usize,
+        /// Candidates forwarded to the exact scan after prefilter
+        /// narrowing (always equals `candidates_scored`).
+        pub candidates_post: usize,
+        /// Time spent scoring sketches and narrowing candidate lists,
+        /// milliseconds (0 when the prefilter is off).
+        pub sketch_ms: f64,
+        /// Time spent preprocessing query spectra (the `encode` stage;
+        /// hypervector encoding is part of `score_ms`), milliseconds (for
+        /// a session finalize: accumulated across every submitted batch;
+        /// likewise for the other stage timings).
+        pub encode_ms: f64,
+        /// Time spent building precursor-window candidate lists,
+        /// milliseconds.
+        pub candidates_ms: f64,
+        /// Time spent encoding query hypervectors and scoring candidates
+        /// against the index shards, milliseconds.
+        pub score_ms: f64,
+        /// Time spent in FDR finalization, milliseconds.
+        pub finalize_ms: f64,
+        /// Name of the backend that served the batch.
+        pub backend: String,
+    }
 }
 
-/// Per-batch serving statistics, reported with every `result` response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchStats {
-    /// Wall-clock time spent answering the batch, milliseconds.
-    pub latency_ms: f64,
-    /// Time the batch waited in the scheduler queue before its worker
-    /// budget was granted, milliseconds (for a session finalize: the
-    /// accumulated wait of every submitted batch).
-    pub wait_ms: f64,
-    /// Batches already waiting in the queue when this one was
-    /// submitted (0 for a finalize, which does not queue).
-    pub queued: usize,
-    /// Worker budget the scheduler granted the batch (0 for a finalize,
-    /// which runs unscheduled).
-    pub workers: usize,
-    /// Queries in the batch.
-    pub queries: usize,
-    /// Queries dropped by preprocessing (too few peaks).
-    pub rejected_queries: usize,
-    /// Best-hit PSMs produced.
-    pub psms: usize,
-    /// PSMs accepted at the requested FDR.
-    pub identifications: usize,
-    /// Score of the weakest accepted PSM (`null` on the wire when no PSM
-    /// was accepted).
-    pub threshold_score: f64,
-    /// Total shard visits across the batch: the visit total of its
-    /// per-shard timings (see [`hdoms_engine::ShardTiming`]).
-    pub shards_touched: usize,
-    /// Total candidate references scored across the batch.
-    pub candidates_scored: usize,
-    /// Precursor-window candidates generated across the batch, before
-    /// any prefilter narrowing (equals `candidates_scored` when the
-    /// prefilter is off).
-    pub candidates_pre: usize,
-    /// Candidates forwarded to the exact scan after prefilter narrowing
-    /// (always equals `candidates_scored`).
-    pub candidates_post: usize,
-    /// Time spent scoring sketches and narrowing candidate lists,
-    /// milliseconds (0 when the prefilter is off).
-    pub sketch_ms: f64,
-    /// Time spent preprocessing query spectra (the `encode` stage;
-    /// hypervector encoding is part of `score_ms`), milliseconds (for a
-    /// session finalize: accumulated across every
-    /// submitted batch; likewise for the other stage timings).
-    pub encode_ms: f64,
-    /// Time spent building precursor-window candidate lists,
-    /// milliseconds.
-    pub candidates_ms: f64,
-    /// Time spent encoding query hypervectors and scoring candidates
-    /// against the index shards, milliseconds.
-    pub score_ms: f64,
-    /// Time spent in FDR finalization, milliseconds.
-    pub finalize_ms: f64,
-    /// Name of the backend that served the batch.
-    pub backend: String,
+wire_struct! {
+    /// The result of one `query` request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct QueryResult {
+        /// Which index answered.
+        pub index: String,
+        /// One row per best-hit PSM, in pipeline order — rendering these
+        /// with [`hdoms_oms::psm::render_table_rows`] reproduces the local
+        /// `search --index` table byte-for-byte.
+        pub rows: Vec<PsmTableRow> [key = "psms"],
+        /// Batch statistics.
+        pub stats: BatchStats,
+    }
 }
 
-/// The result of one `query` request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryResult {
-    /// Which index answered.
-    pub index: String,
-    /// One row per best-hit PSM, in pipeline order — rendering these with
-    /// [`hdoms_oms::psm::render_table_rows`] reproduces the local
-    /// `search --index` table byte-for-byte.
-    pub rows: Vec<PsmTableRow>,
-    /// Batch statistics.
-    pub stats: BatchStats,
+wire_struct! {
+    /// Per-submit accounting, reported by the `receipt` response: what
+    /// the batch itself cost plus the session's running PSM total.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SubmitReceipt {
+        /// Session the batch was submitted to.
+        pub session: u64,
+        /// 1-based ordinal of the batch within the session.
+        pub batch: usize,
+        /// Queries in the batch.
+        pub queries: usize,
+        /// Queries dropped by preprocessing (too few peaks).
+        pub rejected_queries: usize,
+        /// Best-hit PSMs the batch produced (unfiltered — FDR runs at
+        /// finalize).
+        pub psms: usize,
+        /// Raw PSMs accumulated across the session so far.
+        pub total_psms: usize,
+        /// Candidate references scored in the batch.
+        pub candidates_scored: usize,
+        /// Precursor-window candidates the batch generated, before any
+        /// prefilter narrowing.
+        pub candidates_pre: usize,
+        /// Candidates forwarded to the exact scan after prefilter
+        /// narrowing (always equals `candidates_scored`).
+        pub candidates_post: usize,
+        /// Time the batch spent in the sketch prefilter, milliseconds.
+        pub sketch_ms: f64,
+        /// Shard visits the batch cost.
+        pub shards_touched: usize,
+        /// Worker budget the scheduler granted the batch.
+        pub workers: usize,
+        /// Wall-clock time spent searching the batch, milliseconds.
+        pub latency_ms: f64,
+        /// Time the batch waited in the scheduler queue, milliseconds.
+        pub wait_ms: f64,
+        /// Time spent preprocessing query spectra (the `encode` stage;
+        /// hypervector encoding is part of `score_ms`), milliseconds.
+        pub encode_ms: f64,
+        /// Time spent building precursor-window candidate lists,
+        /// milliseconds.
+        pub candidates_ms: f64,
+        /// Time spent encoding query hypervectors and scoring candidates
+        /// against the index shards, milliseconds (there is no finalize
+        /// stage at submit time — FDR runs once, at `session.finalize`).
+        pub score_ms: f64,
+        /// Per-shard scoring cost of the batch: which shards were
+        /// visited, how often, and the wall-clock scoring time each
+        /// absorbed.
+        pub shard_timings: Vec<ShardTiming>,
+    }
 }
 
-/// Per-submit accounting, reported by the `receipt` response: what the
-/// batch itself cost plus the session's running PSM total.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitReceipt {
-    /// Session the batch was submitted to.
-    pub session: u64,
-    /// 1-based ordinal of the batch within the session.
-    pub batch: usize,
-    /// Queries in the batch.
-    pub queries: usize,
-    /// Queries dropped by preprocessing (too few peaks).
-    pub rejected_queries: usize,
-    /// Best-hit PSMs the batch produced (unfiltered — FDR runs at
-    /// finalize).
-    pub psms: usize,
-    /// Raw PSMs accumulated across the session so far.
-    pub total_psms: usize,
-    /// Candidate references scored in the batch.
-    pub candidates_scored: usize,
-    /// Precursor-window candidates the batch generated, before any
-    /// prefilter narrowing.
-    pub candidates_pre: usize,
-    /// Candidates forwarded to the exact scan after prefilter narrowing
-    /// (always equals `candidates_scored`).
-    pub candidates_post: usize,
-    /// Time the batch spent in the sketch prefilter, milliseconds.
-    pub sketch_ms: f64,
-    /// Shard visits the batch cost.
-    pub shards_touched: usize,
-    /// Worker budget the scheduler granted the batch.
-    pub workers: usize,
-    /// Wall-clock time spent searching the batch, milliseconds.
-    pub latency_ms: f64,
-    /// Time the batch waited in the scheduler queue, milliseconds.
-    pub wait_ms: f64,
-    /// Time spent preprocessing query spectra (the `encode` stage;
-    /// hypervector encoding is part of `score_ms`), milliseconds.
-    pub encode_ms: f64,
-    /// Time spent building precursor-window candidate lists,
-    /// milliseconds.
-    pub candidates_ms: f64,
-    /// Time spent encoding query hypervectors and scoring candidates
-    /// against the index shards, milliseconds (there is no finalize stage at submit time — FDR
-    /// runs once, at `session.finalize`).
-    pub score_ms: f64,
-    /// Per-shard scoring cost of the batch: which shards were visited,
-    /// how often, and the wall-clock scoring time each absorbed.
-    pub shard_timings: Vec<ShardTiming>,
+wire_struct! {
+    /// The scheduler and resident-set counters reported by the
+    /// `server.stats` verb: configuration, the queue right now, and
+    /// lifetime totals since the server started.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ServerStats {
+        /// Configured worker-token budget (`hdoms serve --workers`).
+        pub workers: usize,
+        /// Configured queue bound (`--queue-depth`).
+        pub queue_depth: usize,
+        /// Configured soft queue deadline in milliseconds
+        /// (`--deadline-ms`, 0 = none).
+        pub deadline_ms: u64,
+        /// Configured interactive grants per batch grant under contention
+        /// (`--interactive-weight`).
+        pub interactive_weight: usize,
+        /// Configured interactive queue bound
+        /// (`--interactive-queue-depth`).
+        pub interactive_queue_depth: usize,
+        /// Configured interactive coalescing window in milliseconds
+        /// (`--coalesce-window-ms`, 0 = coalescing off).
+        pub coalesce_window_ms: u64,
+        /// Configured resident-shard memory budget in bytes
+        /// (`--memory-budget`, 0 = unlimited).
+        pub memory_budget: u64,
+        /// Batches waiting in the queue right now.
+        pub queued: usize,
+        /// Batches executing right now.
+        pub in_flight: usize,
+        /// Worker tokens granted right now (≤ `workers`).
+        pub workers_busy: usize,
+        /// Most tokens ever granted at once (≤ `workers` always — the
+        /// bounded-in-flight invariant).
+        pub peak_workers_busy: usize,
+        /// Batches granted a budget so far.
+        pub admitted: u64,
+        /// Admitted batches that finished and returned their budget.
+        pub completed: u64,
+        /// Submissions rejected with the `busy` error.
+        pub rejected_busy: u64,
+        /// Batches shed with the `deadline` error.
+        pub shed_deadline: u64,
+        /// Total queue wait across admitted **and** deadline-shed
+        /// batches, milliseconds (shed batches waited too; excluding them
+        /// would understate tail wait exactly when admission pressure
+        /// builds).
+        pub total_wait_ms: f64,
+        /// The interactive tier's slice of the scheduler counters (same
+        /// lock acquisition as the aggregates, so sums are never torn).
+        pub interactive: TierStats,
+        /// The batch tier's slice of the scheduler counters.
+        pub batch: TierStats,
+        /// Engine batches executed by the coalescer so far (one per
+        /// merged admission; a lone request inside the window still
+        /// counts as a single-member batch, so shed work never inflates
+        /// the ratio).
+        pub coalesced_batches: u64,
+        /// Interactive requests answered out of coalesced batches so far
+        /// (`coalesced_requests / coalesced_batches` is the merge ratio).
+        pub coalesced_requests: u64,
+        /// Lifetime precursor-window candidates that entered the sketch
+        /// prefilter (0 until a prefiltered batch runs — the
+        /// `hdoms_prefilter_candidates_pre_total` counter).
+        pub prefilter_candidates_pre: u64,
+        /// Lifetime candidates the prefilter forwarded to the exact scan
+        /// (the `hdoms_prefilter_candidates_post_total` counter).
+        pub prefilter_candidates_post: u64,
+        /// Lifetime wall-clock spent in the sketch prefilter,
+        /// milliseconds (the `hdoms_prefilter_sketch_ms` histogram's
+        /// sum).
+        pub prefilter_sketch_ms: f64,
+        /// Bytes of shard hypervector words resident right now, across
+        /// every mapped index (what `--memory-budget` bounds).
+        pub resident_bytes: u64,
+        /// Mapped shards resident right now.
+        pub resident_shards: usize,
+        /// Cold shards evicted (pages released to the OS) so far (the
+        /// `hdoms_shard_evictions_total` counter).
+        pub evictions: u64,
+        /// Evicted shards reloaded on demand by a later search so far
+        /// (the `hdoms_shard_reloads_total` counter).
+        pub reloads: u64,
+        /// Open streaming sessions.
+        pub open_sessions: usize,
+        /// Resident indexes.
+        pub resident_indexes: usize,
+    }
 }
 
-/// The scheduler and resident-set counters reported by the
-/// `server.stats` verb: configuration, the queue right now, and
-/// lifetime totals since the server started.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerStats {
-    /// Configured worker-token budget (`hdoms serve --workers`).
-    pub workers: usize,
-    /// Configured queue bound (`--queue-depth`).
-    pub queue_depth: usize,
-    /// Configured soft queue deadline in milliseconds (`--deadline-ms`,
-    /// 0 = none).
-    pub deadline_ms: u64,
-    /// Configured interactive grants per batch grant under contention
-    /// (`--interactive-weight`).
-    pub interactive_weight: usize,
-    /// Configured interactive queue bound (`--interactive-queue-depth`).
-    pub interactive_queue_depth: usize,
-    /// Configured interactive coalescing window in milliseconds
-    /// (`--coalesce-window-ms`, 0 = coalescing off).
-    pub coalesce_window_ms: u64,
-    /// Configured resident-shard memory budget in bytes
-    /// (`--memory-budget`, 0 = unlimited).
-    pub memory_budget: u64,
-    /// Batches waiting in the queue right now.
-    pub queued: usize,
-    /// Batches executing right now.
-    pub in_flight: usize,
-    /// Worker tokens granted right now (≤ `workers`).
-    pub workers_busy: usize,
-    /// Most tokens ever granted at once (≤ `workers` always — the
-    /// bounded-in-flight invariant).
-    pub peak_workers_busy: usize,
-    /// Batches granted a budget so far.
-    pub admitted: u64,
-    /// Admitted batches that finished and returned their budget.
-    pub completed: u64,
-    /// Submissions rejected with the `busy` error.
-    pub rejected_busy: u64,
-    /// Batches shed with the `deadline` error.
-    pub shed_deadline: u64,
-    /// Total queue wait across admitted **and** deadline-shed batches,
-    /// milliseconds (shed batches waited too; excluding them would
-    /// understate tail wait exactly when admission pressure builds).
-    pub total_wait_ms: f64,
-    /// The interactive tier's slice of the scheduler counters (same
-    /// lock acquisition as the aggregates, so sums are never torn).
-    pub interactive: TierStats,
-    /// The batch tier's slice of the scheduler counters.
-    pub batch: TierStats,
-    /// Engine batches executed by the coalescer so far (one per merged
-    /// admission; a lone request inside the window still counts as a
-    /// single-member batch, so shed work never inflates the ratio).
-    pub coalesced_batches: u64,
-    /// Interactive requests answered out of coalesced batches so far
-    /// (`coalesced_requests / coalesced_batches` is the merge ratio).
-    pub coalesced_requests: u64,
-    /// Lifetime precursor-window candidates that entered the sketch
-    /// prefilter (0 until a prefiltered batch runs — the
-    /// `hdoms_prefilter_candidates_pre_total` counter).
-    pub prefilter_candidates_pre: u64,
-    /// Lifetime candidates the prefilter forwarded to the exact scan
-    /// (the `hdoms_prefilter_candidates_post_total` counter).
-    pub prefilter_candidates_post: u64,
-    /// Lifetime wall-clock spent in the sketch prefilter, milliseconds
-    /// (the `hdoms_prefilter_sketch_ms` histogram's sum).
-    pub prefilter_sketch_ms: f64,
-    /// Bytes of shard hypervector words resident right now, across
-    /// every mapped index (what `--memory-budget` bounds).
-    pub resident_bytes: u64,
-    /// Mapped shards resident right now.
-    pub resident_shards: usize,
-    /// Cold shards evicted (pages released to the OS) so far.
-    pub evictions: u64,
-    /// Evicted shards reloaded on demand by a later search so far.
-    pub reloads: u64,
-    /// Open streaming sessions.
-    pub open_sessions: usize,
-    /// Resident indexes.
-    pub resident_indexes: usize,
-}
-
-/// A five-number summary of one latency histogram, reported by the
-/// `server.metrics` verb. Quantiles are bucket upper bounds from the
-/// registry's log₂ histogram — conservative (never understated), with
-/// resolution of one bucket.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all recorded samples, milliseconds.
-    pub sum_ms: f64,
-    /// Median latency, milliseconds.
-    pub p50_ms: f64,
-    /// 90th-percentile latency, milliseconds.
-    pub p90_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
+wire_struct! {
+    /// A five-number summary of one latency histogram, reported by the
+    /// `server.metrics` verb. Quantiles are bucket upper bounds from the
+    /// registry's log₂ histogram — conservative (never understated), with
+    /// resolution of one bucket.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct HistogramSummary {
+        /// Samples recorded.
+        pub count: u64,
+        /// Sum of all recorded samples, milliseconds.
+        pub sum_ms: f64,
+        /// Median latency, milliseconds.
+        pub p50_ms: f64,
+        /// 90th-percentile latency, milliseconds.
+        pub p90_ms: f64,
+        /// 99th-percentile latency, milliseconds.
+        pub p99_ms: f64,
+    }
 }
 
 /// A point-in-time dump of the server's metrics registry (the
@@ -744,52 +1024,54 @@ pub struct MetricsReport {
     pub histograms: Vec<(String, HistogramSummary)>,
 }
 
-/// A server response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Answer to `ping`.
-    Pong {
-        /// The server's [`PROTOCOL_VERSION`].
-        protocol: u32,
-    },
-    /// Any request-level failure (the connection stays open).
-    Error {
-        /// Machine-readable classification ([`ErrorCode::General`] is
-        /// omitted on the wire).
-        code: ErrorCode,
-        /// What went wrong.
-        message: String,
-    },
-    /// Answer to `list_indexes`.
-    Indexes(Vec<IndexSummary>),
-    /// Answer to `query` and `session.finalize`.
-    Result(QueryResult),
-    /// Answer to `session.open`.
-    SessionOpened {
-        /// The new session's id (quote it in `session.submit` /
-        /// `session.finalize`).
-        session: u64,
-        /// The resident index the session searches.
-        index: String,
-    },
-    /// Answer to `session.submit`.
-    Receipt(SubmitReceipt),
-    /// Answer to `session.close`.
-    SessionClosed {
-        /// The discarded session's id.
-        session: u64,
-    },
-    /// Answer to `index.load`.
-    Loaded(IndexSummary),
-    /// Answer to `index.unload`.
-    Unloaded {
-        /// Name the dropped index was registered under.
-        name: String,
-    },
-    /// Answer to `server.stats`.
-    Stats(ServerStats),
-    /// Answer to `server.metrics`.
-    Metrics(MetricsReport),
+wire_enum! {
+    /// A server response.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Answer to `ping`.
+        "pong" => Pong {
+            /// The server's [`PROTOCOL_VERSION`].
+            protocol: u32,
+        },
+        /// Any request-level failure (the connection stays open).
+        "error" => Error {
+            /// Machine-readable classification ([`ErrorCode::General`] is
+            /// omitted on the wire).
+            code: ErrorCode [omit_default],
+            /// What went wrong.
+            message: String,
+        },
+        /// Answer to `list_indexes`.
+        "indexes" => Indexes(Vec<IndexSummary> [key = "indexes"]),
+        /// Answer to `query` and `session.finalize`.
+        "result" => Result(QueryResult),
+        /// Answer to `session.open`.
+        "session" => SessionOpened {
+            /// The new session's id (quote it in `session.submit` /
+            /// `session.finalize`).
+            session: u64,
+            /// The resident index the session searches.
+            index: String,
+        },
+        /// Answer to `session.submit`.
+        "receipt" => Receipt(SubmitReceipt),
+        /// Answer to `session.close`.
+        "closed" => SessionClosed {
+            /// The discarded session's id.
+            session: u64,
+        },
+        /// Answer to `index.load`.
+        "loaded" => Loaded(IndexSummary [key = "index"]),
+        /// Answer to `index.unload`.
+        "unloaded" => Unloaded {
+            /// Name the dropped index was registered under.
+            name: String,
+        },
+        /// Answer to `server.stats`.
+        "stats" => Stats(ServerStats),
+        /// Answer to `server.metrics`.
+        "metrics" => Metrics(MetricsReport),
+    }
 }
 
 impl Response {
@@ -801,592 +1083,6 @@ impl Response {
             message: message.into(),
         }
     }
-    /// Encode as one canonical JSON line (no trailing newline).
-    pub fn encode(&self) -> String {
-        let v = match self {
-            Response::Pong { protocol } => Json::Obj(vec![
-                ("type".into(), Json::str("pong")),
-                ("protocol".into(), Json::Num(f64::from(*protocol))),
-            ]),
-            Response::Error { code, message } => {
-                let mut fields = vec![("type".into(), Json::str("error"))];
-                if let Some(name) = code.name() {
-                    fields.push(("code".into(), Json::str(name)));
-                }
-                fields.push(("message".into(), Json::str(message.clone())));
-                Json::Obj(fields)
-            }
-            Response::Indexes(indexes) => Json::Obj(vec![
-                ("type".into(), Json::str("indexes")),
-                (
-                    "indexes".into(),
-                    Json::Arr(indexes.iter().map(summary_to_json).collect()),
-                ),
-            ]),
-            Response::Result(r) => Json::Obj(vec![
-                ("type".into(), Json::str("result")),
-                ("index".into(), Json::str(r.index.clone())),
-                (
-                    "psms".into(),
-                    Json::Arr(r.rows.iter().map(row_to_json).collect()),
-                ),
-                ("stats".into(), stats_to_json(&r.stats)),
-            ]),
-            Response::SessionOpened { session, index } => Json::Obj(vec![
-                ("type".into(), Json::str("session")),
-                ("session".into(), Json::Num(*session as f64)),
-                ("index".into(), Json::str(index.clone())),
-            ]),
-            Response::Receipt(r) => Json::Obj(vec![
-                ("type".into(), Json::str("receipt")),
-                ("session".into(), Json::Num(r.session as f64)),
-                ("batch".into(), Json::Num(r.batch as f64)),
-                ("queries".into(), Json::Num(r.queries as f64)),
-                (
-                    "rejected_queries".into(),
-                    Json::Num(r.rejected_queries as f64),
-                ),
-                ("psms".into(), Json::Num(r.psms as f64)),
-                ("total_psms".into(), Json::Num(r.total_psms as f64)),
-                (
-                    "candidates_scored".into(),
-                    Json::Num(r.candidates_scored as f64),
-                ),
-                ("candidates_pre".into(), Json::Num(r.candidates_pre as f64)),
-                (
-                    "candidates_post".into(),
-                    Json::Num(r.candidates_post as f64),
-                ),
-                ("sketch_ms".into(), Json::Num(r.sketch_ms)),
-                ("shards_touched".into(), Json::Num(r.shards_touched as f64)),
-                ("workers".into(), Json::Num(r.workers as f64)),
-                ("latency_ms".into(), Json::Num(r.latency_ms)),
-                ("wait_ms".into(), Json::Num(r.wait_ms)),
-                ("encode_ms".into(), Json::Num(r.encode_ms)),
-                ("candidates_ms".into(), Json::Num(r.candidates_ms)),
-                ("score_ms".into(), Json::Num(r.score_ms)),
-                (
-                    "shard_timings".into(),
-                    Json::Arr(r.shard_timings.iter().map(shard_timing_to_json).collect()),
-                ),
-            ]),
-            Response::SessionClosed { session } => Json::Obj(vec![
-                ("type".into(), Json::str("closed")),
-                ("session".into(), Json::Num(*session as f64)),
-            ]),
-            Response::Loaded(summary) => Json::Obj(vec![
-                ("type".into(), Json::str("loaded")),
-                ("index".into(), summary_to_json(summary)),
-            ]),
-            Response::Unloaded { name } => Json::Obj(vec![
-                ("type".into(), Json::str("unloaded")),
-                ("name".into(), Json::str(name.clone())),
-            ]),
-            Response::Stats(s) => Json::Obj(vec![
-                ("type".into(), Json::str("stats")),
-                ("workers".into(), Json::Num(s.workers as f64)),
-                ("queue_depth".into(), Json::Num(s.queue_depth as f64)),
-                ("deadline_ms".into(), Json::Num(s.deadline_ms as f64)),
-                (
-                    "interactive_weight".into(),
-                    Json::Num(s.interactive_weight as f64),
-                ),
-                (
-                    "interactive_queue_depth".into(),
-                    Json::Num(s.interactive_queue_depth as f64),
-                ),
-                (
-                    "coalesce_window_ms".into(),
-                    Json::Num(s.coalesce_window_ms as f64),
-                ),
-                ("memory_budget".into(), Json::Num(s.memory_budget as f64)),
-                ("queued".into(), Json::Num(s.queued as f64)),
-                ("in_flight".into(), Json::Num(s.in_flight as f64)),
-                ("workers_busy".into(), Json::Num(s.workers_busy as f64)),
-                (
-                    "peak_workers_busy".into(),
-                    Json::Num(s.peak_workers_busy as f64),
-                ),
-                ("admitted".into(), Json::Num(s.admitted as f64)),
-                ("completed".into(), Json::Num(s.completed as f64)),
-                ("rejected_busy".into(), Json::Num(s.rejected_busy as f64)),
-                ("shed_deadline".into(), Json::Num(s.shed_deadline as f64)),
-                ("total_wait_ms".into(), Json::Num(s.total_wait_ms)),
-                ("interactive".into(), tier_stats_to_json(&s.interactive)),
-                ("batch".into(), tier_stats_to_json(&s.batch)),
-                (
-                    "coalesced_batches".into(),
-                    Json::Num(s.coalesced_batches as f64),
-                ),
-                (
-                    "coalesced_requests".into(),
-                    Json::Num(s.coalesced_requests as f64),
-                ),
-                (
-                    "prefilter_candidates_pre".into(),
-                    Json::Num(s.prefilter_candidates_pre as f64),
-                ),
-                (
-                    "prefilter_candidates_post".into(),
-                    Json::Num(s.prefilter_candidates_post as f64),
-                ),
-                (
-                    "prefilter_sketch_ms".into(),
-                    Json::Num(s.prefilter_sketch_ms),
-                ),
-                ("resident_bytes".into(), Json::Num(s.resident_bytes as f64)),
-                (
-                    "resident_shards".into(),
-                    Json::Num(s.resident_shards as f64),
-                ),
-                ("evictions".into(), Json::Num(s.evictions as f64)),
-                ("reloads".into(), Json::Num(s.reloads as f64)),
-                ("open_sessions".into(), Json::Num(s.open_sessions as f64)),
-                (
-                    "resident_indexes".into(),
-                    Json::Num(s.resident_indexes as f64),
-                ),
-            ]),
-            Response::Metrics(m) => Json::Obj(vec![
-                ("type".into(), Json::str("metrics")),
-                (
-                    "counters".into(),
-                    Json::Obj(
-                        m.counters
-                            .iter()
-                            .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "gauges".into(),
-                    Json::Obj(
-                        m.gauges
-                            .iter()
-                            .map(|(name, value)| (name.clone(), Json::Num(*value as f64)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "histograms".into(),
-                    Json::Obj(
-                        m.histograms
-                            .iter()
-                            .map(|(name, h)| (name.clone(), histogram_to_json(h)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        };
-        v.encode()
-    }
-
-    /// Decode one response line.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first structural
-    /// problem.
-    pub fn decode(line: &str) -> Result<Response, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        match req_field(&v, "type")?.as_str() {
-            Some("pong") => Ok(Response::Pong {
-                protocol: uint_in(req_field(&v, "protocol")?, "protocol", u64::from(u32::MAX))?
-                    as u32,
-            }),
-            Some("error") => Ok(Response::Error {
-                code: match v.get("code") {
-                    None => ErrorCode::General,
-                    Some(c) => ErrorCode::parse(c.as_str().ok_or("code must be a string")?)?,
-                },
-                message: req_field(&v, "message")?
-                    .as_str()
-                    .ok_or("message must be a string")?
-                    .to_owned(),
-            }),
-            Some("indexes") => {
-                let indexes = req_field(&v, "indexes")?
-                    .as_arr()
-                    .ok_or("indexes must be an array")?
-                    .iter()
-                    .map(summary_from_json)
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Response::Indexes(indexes))
-            }
-            Some("result") => {
-                let rows = req_field(&v, "psms")?
-                    .as_arr()
-                    .ok_or("psms must be an array")?
-                    .iter()
-                    .map(row_from_json)
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Response::Result(QueryResult {
-                    index: string(&v, "index")?,
-                    rows,
-                    stats: stats_from_json(req_field(&v, "stats")?)?,
-                }))
-            }
-            Some("session") => Ok(Response::SessionOpened {
-                session: uint(req_field(&v, "session")?, "session")?,
-                index: string(&v, "index")?,
-            }),
-            Some("receipt") => Ok(Response::Receipt(SubmitReceipt {
-                session: uint(req_field(&v, "session")?, "session")?,
-                batch: uint(req_field(&v, "batch")?, "batch")? as usize,
-                queries: uint(req_field(&v, "queries")?, "queries")? as usize,
-                rejected_queries: uint(req_field(&v, "rejected_queries")?, "rejected_queries")?
-                    as usize,
-                psms: uint(req_field(&v, "psms")?, "psms")? as usize,
-                total_psms: uint(req_field(&v, "total_psms")?, "total_psms")? as usize,
-                candidates_scored: uint(req_field(&v, "candidates_scored")?, "candidates_scored")?
-                    as usize,
-                candidates_pre: uint(req_field(&v, "candidates_pre")?, "candidates_pre")? as usize,
-                candidates_post: uint(req_field(&v, "candidates_post")?, "candidates_post")?
-                    as usize,
-                sketch_ms: num(req_field(&v, "sketch_ms")?, "sketch_ms")?,
-                shards_touched: uint(req_field(&v, "shards_touched")?, "shards_touched")? as usize,
-                workers: uint(req_field(&v, "workers")?, "workers")? as usize,
-                latency_ms: num(req_field(&v, "latency_ms")?, "latency_ms")?,
-                wait_ms: num(req_field(&v, "wait_ms")?, "wait_ms")?,
-                encode_ms: num(req_field(&v, "encode_ms")?, "encode_ms")?,
-                candidates_ms: num(req_field(&v, "candidates_ms")?, "candidates_ms")?,
-                score_ms: num(req_field(&v, "score_ms")?, "score_ms")?,
-                shard_timings: req_field(&v, "shard_timings")?
-                    .as_arr()
-                    .ok_or("shard_timings must be an array")?
-                    .iter()
-                    .map(shard_timing_from_json)
-                    .collect::<Result<Vec<_>, String>>()?,
-            })),
-            Some("closed") => Ok(Response::SessionClosed {
-                session: uint(req_field(&v, "session")?, "session")?,
-            }),
-            Some("loaded") => Ok(Response::Loaded(summary_from_json(req_field(
-                &v, "index",
-            )?)?)),
-            Some("unloaded") => Ok(Response::Unloaded {
-                name: string(&v, "name")?,
-            }),
-            Some("stats") => Ok(Response::Stats(ServerStats {
-                workers: uint(req_field(&v, "workers")?, "workers")? as usize,
-                queue_depth: uint(req_field(&v, "queue_depth")?, "queue_depth")? as usize,
-                deadline_ms: uint(req_field(&v, "deadline_ms")?, "deadline_ms")?,
-                interactive_weight: uint(
-                    req_field(&v, "interactive_weight")?,
-                    "interactive_weight",
-                )? as usize,
-                interactive_queue_depth: uint(
-                    req_field(&v, "interactive_queue_depth")?,
-                    "interactive_queue_depth",
-                )? as usize,
-                coalesce_window_ms: uint(
-                    req_field(&v, "coalesce_window_ms")?,
-                    "coalesce_window_ms",
-                )?,
-                memory_budget: uint(req_field(&v, "memory_budget")?, "memory_budget")?,
-                queued: uint(req_field(&v, "queued")?, "queued")? as usize,
-                in_flight: uint(req_field(&v, "in_flight")?, "in_flight")? as usize,
-                workers_busy: uint(req_field(&v, "workers_busy")?, "workers_busy")? as usize,
-                peak_workers_busy: uint(req_field(&v, "peak_workers_busy")?, "peak_workers_busy")?
-                    as usize,
-                admitted: uint(req_field(&v, "admitted")?, "admitted")?,
-                completed: uint(req_field(&v, "completed")?, "completed")?,
-                rejected_busy: uint(req_field(&v, "rejected_busy")?, "rejected_busy")?,
-                shed_deadline: uint(req_field(&v, "shed_deadline")?, "shed_deadline")?,
-                total_wait_ms: num(req_field(&v, "total_wait_ms")?, "total_wait_ms")?,
-                interactive: tier_stats_from_json(req_field(&v, "interactive")?)?,
-                batch: tier_stats_from_json(req_field(&v, "batch")?)?,
-                coalesced_batches: uint(req_field(&v, "coalesced_batches")?, "coalesced_batches")?,
-                coalesced_requests: uint(
-                    req_field(&v, "coalesced_requests")?,
-                    "coalesced_requests",
-                )?,
-                prefilter_candidates_pre: uint(
-                    req_field(&v, "prefilter_candidates_pre")?,
-                    "prefilter_candidates_pre",
-                )?,
-                prefilter_candidates_post: uint(
-                    req_field(&v, "prefilter_candidates_post")?,
-                    "prefilter_candidates_post",
-                )?,
-                prefilter_sketch_ms: num(
-                    req_field(&v, "prefilter_sketch_ms")?,
-                    "prefilter_sketch_ms",
-                )?,
-                resident_bytes: uint(req_field(&v, "resident_bytes")?, "resident_bytes")?,
-                resident_shards: uint(req_field(&v, "resident_shards")?, "resident_shards")?
-                    as usize,
-                evictions: uint(req_field(&v, "evictions")?, "evictions")?,
-                reloads: uint(req_field(&v, "reloads")?, "reloads")?,
-                open_sessions: uint(req_field(&v, "open_sessions")?, "open_sessions")? as usize,
-                resident_indexes: uint(req_field(&v, "resident_indexes")?, "resident_indexes")?
-                    as usize,
-            })),
-            Some("metrics") => Ok(Response::Metrics(MetricsReport {
-                counters: obj_entries(req_field(&v, "counters")?, "counters")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), uint(value, "counter value")?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-                gauges: obj_entries(req_field(&v, "gauges")?, "gauges")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), int(value, "gauge value")?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-                histograms: obj_entries(req_field(&v, "histograms")?, "histograms")?
-                    .iter()
-                    .map(|(name, value)| Ok((name.clone(), histogram_from_json(value)?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-            })),
-            Some(other) => Err(format!("unknown response type {other:?}")),
-            None => Err("response type must be a string".to_owned()),
-        }
-    }
-}
-
-fn summary_to_json(s: &IndexSummary) -> Json {
-    Json::Obj(vec![
-        ("name".into(), Json::str(s.name.clone())),
-        ("backend".into(), Json::str(s.backend.clone())),
-        ("dim".into(), Json::Num(s.dim as f64)),
-        ("entries".into(), Json::Num(s.entries as f64)),
-        ("shards".into(), Json::Num(s.shards as f64)),
-    ])
-}
-
-fn summary_from_json(v: &Json) -> Result<IndexSummary, String> {
-    Ok(IndexSummary {
-        name: string(v, "name")?,
-        backend: string(v, "backend")?,
-        dim: uint(req_field(v, "dim")?, "dim")? as usize,
-        entries: uint(req_field(v, "entries")?, "entries")? as usize,
-        shards: uint(req_field(v, "shards")?, "shards")? as usize,
-    })
-}
-
-fn row_to_json(row: &PsmTableRow) -> Json {
-    Json::Obj(vec![
-        ("query_id".into(), Json::Num(f64::from(row.psm.query_id))),
-        (
-            "reference_id".into(),
-            Json::Num(f64::from(row.psm.reference_id)),
-        ),
-        ("peptide".into(), Json::str(row.peptide.clone())),
-        ("score".into(), Json::Num(row.psm.score)),
-        ("is_decoy".into(), Json::Bool(row.psm.is_decoy)),
-        ("precursor_delta".into(), Json::Num(row.psm.precursor_delta)),
-        ("accepted".into(), Json::Bool(row.accepted)),
-    ])
-}
-
-fn row_from_json(v: &Json) -> Result<PsmTableRow, String> {
-    Ok(PsmTableRow {
-        psm: Psm {
-            query_id: u32_field(v, "query_id")?,
-            reference_id: u32_field(v, "reference_id")?,
-            score: num(req_field(v, "score")?, "score")?,
-            is_decoy: req_field(v, "is_decoy")?
-                .as_bool()
-                .ok_or("is_decoy must be a boolean")?,
-            precursor_delta: num(req_field(v, "precursor_delta")?, "precursor_delta")?,
-        },
-        peptide: string(v, "peptide")?,
-        accepted: req_field(v, "accepted")?
-            .as_bool()
-            .ok_or("accepted must be a boolean")?,
-    })
-}
-
-fn stats_to_json(s: &BatchStats) -> Json {
-    Json::Obj(vec![
-        ("latency_ms".into(), Json::Num(s.latency_ms)),
-        ("wait_ms".into(), Json::Num(s.wait_ms)),
-        ("queued".into(), Json::Num(s.queued as f64)),
-        ("workers".into(), Json::Num(s.workers as f64)),
-        ("queries".into(), Json::Num(s.queries as f64)),
-        (
-            "rejected_queries".into(),
-            Json::Num(s.rejected_queries as f64),
-        ),
-        ("psms".into(), Json::Num(s.psms as f64)),
-        (
-            "identifications".into(),
-            Json::Num(s.identifications as f64),
-        ),
-        ("threshold_score".into(), Json::Num(s.threshold_score)),
-        ("shards_touched".into(), Json::Num(s.shards_touched as f64)),
-        (
-            "candidates_scored".into(),
-            Json::Num(s.candidates_scored as f64),
-        ),
-        ("candidates_pre".into(), Json::Num(s.candidates_pre as f64)),
-        (
-            "candidates_post".into(),
-            Json::Num(s.candidates_post as f64),
-        ),
-        ("sketch_ms".into(), Json::Num(s.sketch_ms)),
-        ("encode_ms".into(), Json::Num(s.encode_ms)),
-        ("candidates_ms".into(), Json::Num(s.candidates_ms)),
-        ("score_ms".into(), Json::Num(s.score_ms)),
-        ("finalize_ms".into(), Json::Num(s.finalize_ms)),
-        ("backend".into(), Json::str(s.backend.clone())),
-    ])
-}
-
-fn stats_from_json(v: &Json) -> Result<BatchStats, String> {
-    Ok(BatchStats {
-        latency_ms: num(req_field(v, "latency_ms")?, "latency_ms")?,
-        wait_ms: num(req_field(v, "wait_ms")?, "wait_ms")?,
-        queued: uint(req_field(v, "queued")?, "queued")? as usize,
-        workers: uint(req_field(v, "workers")?, "workers")? as usize,
-        queries: uint(req_field(v, "queries")?, "queries")? as usize,
-        rejected_queries: uint(req_field(v, "rejected_queries")?, "rejected_queries")? as usize,
-        psms: uint(req_field(v, "psms")?, "psms")? as usize,
-        identifications: uint(req_field(v, "identifications")?, "identifications")? as usize,
-        threshold_score: threshold_from_json(req_field(v, "threshold_score")?)?,
-        shards_touched: uint(req_field(v, "shards_touched")?, "shards_touched")? as usize,
-        candidates_scored: uint(req_field(v, "candidates_scored")?, "candidates_scored")? as usize,
-        candidates_pre: uint(req_field(v, "candidates_pre")?, "candidates_pre")? as usize,
-        candidates_post: uint(req_field(v, "candidates_post")?, "candidates_post")? as usize,
-        sketch_ms: num(req_field(v, "sketch_ms")?, "sketch_ms")?,
-        encode_ms: num(req_field(v, "encode_ms")?, "encode_ms")?,
-        candidates_ms: num(req_field(v, "candidates_ms")?, "candidates_ms")?,
-        score_ms: num(req_field(v, "score_ms")?, "score_ms")?,
-        finalize_ms: num(req_field(v, "finalize_ms")?, "finalize_ms")?,
-        backend: string(v, "backend")?,
-    })
-}
-
-fn shard_timing_to_json(t: &ShardTiming) -> Json {
-    Json::Obj(vec![
-        ("shard".into(), Json::Num(f64::from(t.shard))),
-        ("visits".into(), Json::Num(t.visits as f64)),
-        ("ms".into(), Json::Num(t.ms)),
-    ])
-}
-
-fn shard_timing_from_json(v: &Json) -> Result<ShardTiming, String> {
-    Ok(ShardTiming {
-        shard: u32_field(v, "shard")?,
-        visits: uint(req_field(v, "visits")?, "visits")?,
-        ms: num(req_field(v, "ms")?, "ms")?,
-    })
-}
-
-/// The optional `tier` field of a request (defaults to [`Tier::Batch`]
-/// when omitted — pre-v5 clients never send it).
-fn tier_field(v: &Json) -> Result<Tier, String> {
-    match v.get("tier") {
-        None => Ok(Tier::default()),
-        Some(t) => Tier::parse(t.as_str().ok_or("tier must be a string")?),
-    }
-}
-
-fn tier_stats_to_json(t: &TierStats) -> Json {
-    Json::Obj(vec![
-        ("queued".into(), Json::Num(t.queued as f64)),
-        ("in_flight".into(), Json::Num(t.in_flight as f64)),
-        ("admitted".into(), Json::Num(t.admitted as f64)),
-        ("completed".into(), Json::Num(t.completed as f64)),
-        ("rejected_busy".into(), Json::Num(t.rejected_busy as f64)),
-        ("shed_deadline".into(), Json::Num(t.shed_deadline as f64)),
-        ("total_wait_ms".into(), Json::Num(t.total_wait_ms)),
-    ])
-}
-
-fn tier_stats_from_json(v: &Json) -> Result<TierStats, String> {
-    Ok(TierStats {
-        queued: uint(req_field(v, "queued")?, "queued")? as usize,
-        in_flight: uint(req_field(v, "in_flight")?, "in_flight")? as usize,
-        admitted: uint(req_field(v, "admitted")?, "admitted")?,
-        completed: uint(req_field(v, "completed")?, "completed")?,
-        rejected_busy: uint(req_field(v, "rejected_busy")?, "rejected_busy")?,
-        shed_deadline: uint(req_field(v, "shed_deadline")?, "shed_deadline")?,
-        total_wait_ms: num(req_field(v, "total_wait_ms")?, "total_wait_ms")?,
-    })
-}
-
-fn histogram_to_json(h: &HistogramSummary) -> Json {
-    Json::Obj(vec![
-        ("count".into(), Json::Num(h.count as f64)),
-        ("sum_ms".into(), Json::Num(h.sum_ms)),
-        ("p50_ms".into(), Json::Num(h.p50_ms)),
-        ("p90_ms".into(), Json::Num(h.p90_ms)),
-        ("p99_ms".into(), Json::Num(h.p99_ms)),
-    ])
-}
-
-fn histogram_from_json(v: &Json) -> Result<HistogramSummary, String> {
-    Ok(HistogramSummary {
-        count: uint(req_field(v, "count")?, "count")?,
-        sum_ms: num(req_field(v, "sum_ms")?, "sum_ms")?,
-        p50_ms: num(req_field(v, "p50_ms")?, "p50_ms")?,
-        p90_ms: num(req_field(v, "p90_ms")?, "p90_ms")?,
-        p99_ms: num(req_field(v, "p99_ms")?, "p99_ms")?,
-    })
-}
-
-/// The entries of a JSON object in wire order (metrics maps round-trip
-/// verbatim because [`Json::Obj`] preserves insertion order).
-fn obj_entries<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match v {
-        Json::Obj(pairs) => Ok(pairs),
-        _ => Err(format!("{what} must be an object")),
-    }
-}
-
-/// A signed integer (gauges may go negative); non-integral numbers are
-/// rejected.
-fn int(v: &Json, what: &str) -> Result<i64, String> {
-    let x = num(v, what)?;
-    if x.fract() != 0.0 || x < i64::MIN as f64 || x > i64::MAX as f64 {
-        return Err(format!("{what} must be an integer"));
-    }
-    Ok(x as i64)
-}
-
-fn req_field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(v: &Json, what: &str) -> Result<f64, String> {
-    v.as_f64().ok_or_else(|| format!("{what} must be a number"))
-}
-
-/// The acceptance threshold is `+∞` when a batch accepted nothing
-/// ([`hdoms_oms::fdr::filter_fdr`]); JSON cannot express that, so the
-/// wire uses `null` and the decoder restores `+∞`.
-fn threshold_from_json(v: &Json) -> Result<f64, String> {
-    match v {
-        Json::Null => Ok(f64::INFINITY),
-        _ => num(v, "threshold_score"),
-    }
-}
-
-fn uint(v: &Json, what: &str) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("{what} must be a non-negative integer"))
-}
-
-/// Like [`uint`] with an inclusive upper bound — values beyond the target
-/// type are **rejected**, never wrapped (a charge of 257 must error, not
-/// silently search as charge 1).
-fn uint_in(v: &Json, what: &str, max: u64) -> Result<u64, String> {
-    let n = uint(v, what)?;
-    if n > max {
-        return Err(format!("{what} {n} out of range (max {max})"));
-    }
-    Ok(n)
-}
-
-/// A required `u32` object field, range-checked.
-fn u32_field(v: &Json, key: &'static str) -> Result<u32, String> {
-    Ok(uint_in(req_field(v, key)?, key, u64::from(u32::MAX))? as u32)
-}
-
-fn string(v: &Json, key: &str) -> Result<String, String> {
-    req_field(v, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("{key} must be a string"))
 }
 
 #[cfg(test)]

@@ -220,27 +220,31 @@ impl fmt::Display for ScheduleError {
     }
 }
 
-/// One tier's slice of a [`SchedulerStats`] snapshot. Taken under the
-/// same lock acquisition as every other field, so cross-tier sums are
-/// never torn (a reader can never see tier A's `completed` from before
-/// a grant and tier B's `queued` from after it).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TierStats {
-    /// Batches of this tier waiting in the queue right now.
-    pub queued: usize,
-    /// Batches of this tier executing right now.
-    pub in_flight: usize,
-    /// Batches of this tier admitted (granted a budget) so far.
-    pub admitted: u64,
-    /// Admitted batches of this tier whose permit has been returned.
-    pub completed: u64,
-    /// Submissions of this tier rejected at admission (`busy`).
-    pub rejected_busy: u64,
-    /// Batches of this tier shed after waiting past their deadline.
-    pub shed_deadline: u64,
-    /// Total queue wait across this tier's admitted and shed batches,
-    /// milliseconds.
-    pub total_wait_ms: f64,
+crate::protocol::wire_struct! {
+    /// One tier's slice of a [`SchedulerStats`] snapshot. Taken under the
+    /// same lock acquisition as every other field, so cross-tier sums are
+    /// never torn (a reader can never see tier A's `completed` from before
+    /// a grant and tier B's `queued` from after it). On the wire (the
+    /// `interactive`/`batch` objects of `server.stats`) its fields appear
+    /// in declaration order.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct TierStats {
+        /// Batches of this tier waiting in the queue right now.
+        pub queued: usize,
+        /// Batches of this tier executing right now.
+        pub in_flight: usize,
+        /// Batches of this tier admitted (granted a budget) so far.
+        pub admitted: u64,
+        /// Admitted batches of this tier whose permit has been returned.
+        pub completed: u64,
+        /// Submissions of this tier rejected at admission (`busy`).
+        pub rejected_busy: u64,
+        /// Batches of this tier shed after waiting past their deadline.
+        pub shed_deadline: u64,
+        /// Total queue wait across this tier's admitted and shed batches,
+        /// milliseconds.
+        pub total_wait_ms: f64,
+    }
 }
 
 /// A point-in-time snapshot of the scheduler, plus its lifetime
