@@ -36,6 +36,12 @@ fn main() -> ExitCode {
         eprintln!("{}", opts::USAGE);
         return ExitCode::from(2);
     };
+    // `--help`/`-h` anywhere after a subcommand asks for usage, never
+    // for a run (flag parsing would read it as a flag missing its value).
+    if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        println!("{}", opts::USAGE);
+        return ExitCode::SUCCESS;
+    }
     let result = match command.as_str() {
         "generate" => commands::generate(rest),
         "synth" => commands::synth(rest),

@@ -22,7 +22,13 @@
 //!   `hdoms search --index` run.
 //! * [`protocol`] — the wire messages: line-framed canonical JSON,
 //!   specified in `docs/PROTOCOL.md` (whose examples are asserted
-//!   verbatim by this crate's tests).
+//!   verbatim by this crate's tests). Each message is one field table —
+//!   its struct or enum definition, declared once — from which both the
+//!   encoder and the decoder are generated. A field is *required*,
+//!   `[default = expr]` (always encoded, defaulted when absent) or
+//!   `[omit_default]` (left off the wire at its default, restored on
+//!   decode), so adding a wire field means adding one documented table
+//!   line plus its `docs/PROTOCOL.md` example.
 //! * [`net`] — transports: [`net::serve_listener`] (TCP, one thread per
 //!   connection), [`net::serve_stdio`], and a blocking [`net::Client`].
 //!

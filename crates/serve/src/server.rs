@@ -11,6 +11,8 @@ use hdoms_index::{IndexError, LibraryIndex};
 use hdoms_ms::spectrum::Spectrum;
 use hdoms_obs::log::Logger;
 use hdoms_obs::metrics::{Counter, Gauge, Histogram, Registry};
+use hdoms_obs::trace::StageTimings;
+use hdoms_oms::pipeline::PipelineOutcome;
 use hdoms_oms::psm::table_rows;
 use hdoms_prefilter::PrefilterConfig;
 use std::collections::HashMap;
@@ -162,10 +164,11 @@ impl Drop for GroupCompletion<'_> {
 }
 
 /// Shard-residency accounting for mapped indexes: which shards'
-/// hypervector pages are resident, their LRU order, and the lifetime
-/// eviction/reload counters — all under one lock so `server.stats`
-/// reads a consistent snapshot. Owned indexes (no backing file to
-/// refault from) are never tracked.
+/// hypervector pages are resident and their LRU order, under one lock.
+/// The lifetime eviction/reload counts are the registry's
+/// `hdoms_shard_{evictions,reloads}_total` counters, bumped under the
+/// same lock, so `server.stats` reads a consistent snapshot. Owned
+/// indexes (no backing file to refault from) are never tracked.
 #[derive(Default)]
 struct Residency {
     state: Mutex<ResidencyState>,
@@ -180,8 +183,6 @@ struct ResidencyState {
     /// Bytes of shard hypervector words resident across every tracked
     /// index.
     resident_bytes: u64,
-    evictions: u64,
-    reloads: u64,
     indexes: HashMap<String, IndexResidency>,
 }
 
@@ -474,13 +475,15 @@ impl Server {
     /// open-session count.
     pub fn stats(&self) -> ServerStats {
         let s = self.scheduler.stats();
+        // The eviction/reload counters are bumped under the residency
+        // lock, so reading them under it keeps the snapshot consistent.
         let (resident_bytes, resident_shards, evictions, reloads, memory_budget) = {
             let state = self.residency.state.lock().expect("residency lock");
             (
                 state.resident_bytes,
                 resident_shard_count(&state),
-                state.evictions,
-                state.reloads,
+                self.metrics.shard_evictions.get(),
+                self.metrics.shard_reloads.get(),
                 state.budget,
             )
         };
@@ -939,36 +942,24 @@ impl Server {
                 .f64("latency_ms", latency_ms)
                 .f64("wait_ms", wait_ms)
                 .emit();
-            let rows = table_rows(engine.peptides(), &outcome);
-            results.push(QueryResult {
-                index: request.index.clone(),
-                stats: BatchStats {
-                    // Every member waited for the whole execution: its
-                    // experienced latency is the execution's wall-clock,
-                    // and the one admission's wait/queue/workers apply
-                    // to all members alike.
-                    latency_ms,
-                    wait_ms,
-                    queued,
-                    workers,
-                    queries: outcome.total_queries,
-                    rejected_queries: outcome.rejected_queries,
-                    psms: outcome.psms.len(),
-                    identifications: outcome.identifications(),
-                    threshold_score: outcome.threshold_score,
-                    shards_touched: receipt.shards_touched,
-                    candidates_scored: receipt.candidates_scored,
-                    candidates_pre: receipt.candidates_pre,
-                    candidates_post: receipt.candidates_post,
-                    sketch_ms: receipt.sketch_ms,
-                    encode_ms: receipt.stages.encode_ms,
-                    candidates_ms: receipt.stages.candidates_ms,
-                    score_ms: receipt.stages.score_ms,
-                    finalize_ms: receipt.stages.finalize_ms,
-                    backend: outcome.backend_name.clone(),
-                },
-                rows,
-            });
+            // Every member waited for the whole execution: its
+            // experienced latency is the execution's wall-clock, and the
+            // one admission's wait/queue/workers apply to all members.
+            let cost = ResultCost {
+                shards_touched: receipt.shards_touched,
+                candidates_scored: receipt.candidates_scored,
+                candidates_pre: receipt.candidates_pre,
+                sketch_ms: receipt.sketch_ms,
+                stages: receipt.stages,
+            };
+            results.push(query_result(
+                &request.index,
+                engine,
+                &outcome,
+                cost,
+                latency_ms,
+                (wait_ms, queued, workers),
+            ));
         }
         Ok(results)
     }
@@ -1133,12 +1124,15 @@ impl Server {
         let index = open.index;
         let submitted_ms = open.session.latency_ms();
         let wait_ms = open.wait_ms;
-        let candidates_scored = open.session.candidates_scored();
-        let candidates_pre = open.session.candidates_pre();
-        let sketch_ms = open.session.sketch_ms();
-        let shards_touched = open.session.shards_touched();
-        let stages = open.session.stage_timings();
+        let mut cost = ResultCost {
+            shards_touched: open.session.shards_touched(),
+            candidates_scored: open.session.candidates_scored(),
+            candidates_pre: open.session.candidates_pre(),
+            sketch_ms: open.session.sketch_ms(),
+            stages: open.session.stage_timings(),
+        };
         let (outcome, finalize_ms) = open.session.finalize_traced(fdr);
+        cost.stages.finalize_ms = finalize_ms;
         let latency_ms = submitted_ms + start.elapsed().as_secs_f64() * 1e3;
 
         self.metrics
@@ -1152,35 +1146,17 @@ impl Server {
             .f64("latency_ms", latency_ms)
             .emit();
 
-        let rows = table_rows(engine.peptides(), &outcome);
-        Ok(QueryResult {
-            index,
-            stats: BatchStats {
-                latency_ms,
-                // The finalize itself runs unscheduled (the FDR filter
-                // is cheap); wait_ms reports what the session's submits
-                // spent queued, workers 0 marks the unscheduled batch.
-                wait_ms,
-                queued: 0,
-                workers: 0,
-                queries: outcome.total_queries,
-                rejected_queries: outcome.rejected_queries,
-                psms: outcome.psms.len(),
-                identifications: outcome.identifications(),
-                threshold_score: outcome.threshold_score,
-                shards_touched,
-                candidates_scored,
-                candidates_pre,
-                candidates_post: candidates_scored,
-                sketch_ms,
-                encode_ms: stages.encode_ms,
-                candidates_ms: stages.candidates_ms,
-                score_ms: stages.score_ms,
-                finalize_ms,
-                backend: outcome.backend_name.clone(),
-            },
-            rows,
-        })
+        // The finalize itself runs unscheduled (the FDR filter is
+        // cheap): wait_ms reports what the session's submits spent
+        // queued, workers 0 marks the unscheduled batch.
+        Ok(query_result(
+            &index,
+            &engine,
+            &outcome,
+            cost,
+            latency_ms,
+            (wait_ms, 0, 0),
+        ))
     }
 
     /// Discard an open session without producing a result (the
@@ -1303,7 +1279,6 @@ impl Server {
             }
         }
         state.clock = clock;
-        state.reloads += reloads;
         state.resident_bytes += reloaded_bytes;
         self.metrics.shard_reloads.add(reloads);
         self.enforce_budget(&mut state);
@@ -1339,7 +1314,6 @@ impl Server {
             let shard = &mut entry.shards[at];
             shard.resident = false;
             state.resident_bytes = state.resident_bytes.saturating_sub(shard.bytes);
-            state.evictions += 1;
             self.metrics.shard_evictions.inc();
         }
     }
@@ -1350,6 +1324,54 @@ impl Server {
         self.metrics
             .resident_shards
             .set(resident_shard_count(state) as i64);
+    }
+}
+
+/// What a served result cost before FDR: one execution's receipt, or a
+/// session's accumulation across its submits.
+struct ResultCost {
+    shards_touched: usize,
+    candidates_scored: usize,
+    candidates_pre: usize,
+    sketch_ms: f64,
+    stages: StageTimings,
+}
+
+/// The one [`QueryResult`] builder behind `query` and `session.finalize`:
+/// the PSM table and [`BatchStats`] of `outcome`, given its cost, the
+/// latency served and the scheduler grant `(wait_ms, queued, workers)`.
+fn query_result(
+    index: &str,
+    engine: &Engine,
+    outcome: &PipelineOutcome,
+    cost: ResultCost,
+    latency_ms: f64,
+    (wait_ms, queued, workers): (f64, usize, usize),
+) -> QueryResult {
+    QueryResult {
+        index: index.to_owned(),
+        rows: table_rows(engine.peptides(), outcome),
+        stats: BatchStats {
+            latency_ms,
+            wait_ms,
+            queued,
+            workers,
+            queries: outcome.total_queries,
+            rejected_queries: outcome.rejected_queries,
+            psms: outcome.psms.len(),
+            identifications: outcome.identifications(),
+            threshold_score: outcome.threshold_score,
+            shards_touched: cost.shards_touched,
+            candidates_scored: cost.candidates_scored,
+            candidates_pre: cost.candidates_pre,
+            candidates_post: cost.candidates_scored,
+            sketch_ms: cost.sketch_ms,
+            encode_ms: cost.stages.encode_ms,
+            candidates_ms: cost.stages.candidates_ms,
+            score_ms: cost.stages.score_ms,
+            finalize_ms: cost.stages.finalize_ms,
+            backend: outcome.backend_name.clone(),
+        },
     }
 }
 

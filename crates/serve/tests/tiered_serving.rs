@@ -308,4 +308,18 @@ fn eviction_under_budget_reloads_on_demand_without_changing_results() {
         relaxed.evictions, reloaded.evictions,
         "no further evictions"
     );
+
+    // `server.stats` and `server.metrics` report one residency counter
+    // pair, not two copies that could drift.
+    let metrics = server.metrics_report();
+    let counter = |name: &str| {
+        metrics
+            .counters
+            .iter()
+            .find(|(series, _)| series == name)
+            .map(|&(_, value)| value)
+            .unwrap_or_else(|| panic!("{name} is registered"))
+    };
+    assert_eq!(relaxed.evictions, counter("hdoms_shard_evictions_total"));
+    assert_eq!(relaxed.reloads, counter("hdoms_shard_reloads_total"));
 }
